@@ -4,9 +4,10 @@ Exit codes: 0 on success, 1 on a domain or I/O error (with a diagnostic
 on stderr), 2 on a usage error.  Every subcommand is deterministic given
 its flags and seeds and never mutates its inputs; ``run`` additionally
 writes a run_manifest.json recording the tool version, the full config,
-and SHA-256 hashes of the input manifests, so a run can be re-verified
-byte for byte.  A relative ``run --out`` is placed under the directory
-named by the TEXTBOOT_RUN_ROOT environment variable when it is set.
+and SHA-256 hashes of the input manifests and of every other file in the
+run directory, so a run can be re-verified byte for byte.  A relative
+``run --out`` is placed under the directory named by the TEXTBOOT_RUN_ROOT
+environment variable when it is set.
 """
 
 from __future__ import annotations
@@ -161,7 +162,13 @@ def cmd_run(args) -> int:
         "best_round": result.best_round,
         "incomplete": result.incomplete,
     }
-    (run_dir / "run_manifest.json").write_text(
+    manifest_path = run_dir / "run_manifest.json"
+    manifest["artifacts"] = {
+        p.relative_to(run_dir).as_posix(): _sha256(p)
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file() and p != manifest_path
+    }
+    manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
@@ -279,11 +286,12 @@ def cmd_convert(args) -> int:
 
 
 def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--score-s", type=float, default=0.5,
+    cfg = StrategyConfig()
+    p.add_argument("--score-s", type=float, default=cfg.score_threshold,
                    help="score cutoff for the naive strategy (strict >)")
-    p.add_argument("--score-sprime", type=float, default=0.4,
+    p.add_argument("--score-sprime", type=float, default=cfg.filter_score_threshold,
                    help="score cutoff for the filter strategy (strict >)")
-    p.add_argument("--iou-t", type=float, default=0.3,
+    p.add_argument("--iou-t", type=float, default=cfg.filter_iou_threshold,
                    help="box-IoU cutoff for the filter strategy (strict >)")
 
 
@@ -297,6 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scene = SceneSpec(n_images=1)
+    pipeline = PipelineConfig(strategy=Strategy.LOCAL)
+    evaluation = EvalConfig()
     p = sub.add_parser("synth", help="generate a synthetic annotated dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n-images", type=int, required=True)
@@ -326,15 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="pixel-annotated test manifest")
     p.add_argument("--out", required=True, help="run directory (see TEXTBOOT_RUN_ROOT)")
     p.add_argument("--strategy", choices=("naive", "filter", "local", "fully"), required=True)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rounds", type=int, default=pipeline.rounds)
+    p.add_argument("--seed", type=int, default=pipeline.seed)
     p.add_argument("--epochs", type=int, default=TrainConfig().epochs)
     p.add_argument("--learning-rate", type=float, default=TrainConfig().learning_rate)
     p.add_argument("--batch-size", type=int, default=TrainConfig().batch_size)
-    p.add_argument("--eval-iou", type=float, default=0.5)
+    p.add_argument("--eval-iou", type=float, default=evaluation.iou_threshold)
     p.add_argument("--retrain-origin", choices=("from_baseline", "from_previous"),
-                   default="from_baseline")
-    p.add_argument("--annotate-with", choices=("latest", "best"), default="latest")
+                   default=pipeline.retrain_origin.value.lower())
+    p.add_argument("--annotate-with", choices=("latest", "best"),
+                   default=pipeline.annotate_with.value.lower())
     p.add_argument("--jobs", type=int, default=1)
     _add_strategy_flags(p)
     p.set_defaults(func=cmd_run)
@@ -342,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a detection manifest against ground truth")
     p.add_argument("--det", required=True, help="detections as a pixel-tier manifest")
     p.add_argument("--gt", required=True, help="ground-truth pixel-tier manifest")
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--match-on", choices=("mask", "box"), default="mask")
+    p.add_argument("--iou", type=float, default=evaluation.iou_threshold)
+    p.add_argument("--match-on", choices=("mask", "box"),
+                   default=evaluation.match_on.value.lower())
     p.add_argument("--report", help="also write the full key=value report here")
     p.set_defaults(func=cmd_eval)
 

@@ -6,8 +6,12 @@ neighbourhood plus the window mean and variance.  Proposals are
 this detector is not accuracy for its own sake: it is the smallest model
 that reliably improves when more (pseudo-)annotated images are added,
 which is what the bootstrapping pipeline exercises.  Anything implementing
-train / detect / mask_for_box / save / load can be dropped in behind the
-same contract.
+the same protocol can be dropped in behind it:
+
+* ``train`` / ``save_model`` / ``load_model`` — fit and persist a model;
+* ``detect(image)`` — scored instance proposals (NAIVE and FILTER);
+* ``masks_for_boxes(image, boxes)`` — one mask per weak rectangle (LOCAL),
+  with ``mask_for_box(image, box)`` as its one-box form.
 """
 
 from __future__ import annotations
@@ -110,17 +114,9 @@ def feature_dim(radius: int) -> int:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _bce(z: np.ndarray, y: np.ndarray) -> float:
-    # numerically stable: max(z,0) - z*y + log(1 + exp(-|z|))
-    return float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
+    # exp(-|z|) never overflows; min(z, -z) rather than -abs(z) keeps a NaN's sign.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -172,18 +168,33 @@ class DetectorModel:
         dets.sort(key=lambda d: -d.score)
         return dets
 
-    def mask_for_box(self, image: np.ndarray, box: AxisRect) -> BitMask:
-        """Probability >= 0.5 inside the box, everything else unset."""
-        if box.area <= 0.0:
-            raise DegenerateBoxError(f"cannot annotate a zero-area box: {box}")
+    def masks_for_boxes(self, image: np.ndarray, boxes: list[AxisRect]) -> list[BitMask]:
+        """Per box, probability >= 0.5 inside it and everything else unset.
+
+        The probability map is computed once for all boxes, and not at all
+        when there are none.
+        """
+        for box in boxes:
+            if box.area <= 0.0:
+                raise DegenerateBoxError(f"cannot annotate a zero-area box: {box}")
+        if not boxes:
+            return []
         probs = self.prob_map(image)
-        h, w = probs.shape
-        keep = np.zeros((h, w), dtype=bool)
-        r0, r1 = _center_span(box.y_min, box.y_max, h)
-        c0, c1 = _center_span(box.x_min, box.x_max, w)
-        if r0 < r1 and c0 < c1:
-            keep[r0:r1, c0:c1] = probs[r0:r1, c0:c1] >= MASK_PIXEL_THRESHOLD
-        return BitMask(keep)
+        return [_mask_in_box(probs, box) for box in boxes]
+
+    def mask_for_box(self, image: np.ndarray, box: AxisRect) -> BitMask:
+        """The one-box form of ``masks_for_boxes``."""
+        return self.masks_for_boxes(image, [box])[0]
+
+
+def _mask_in_box(probs: np.ndarray, box: AxisRect) -> BitMask:
+    h, w = probs.shape
+    keep = np.zeros((h, w), dtype=bool)
+    r0, r1 = _center_span(box.y_min, box.y_max, h)
+    c0, c1 = _center_span(box.x_min, box.x_max, w)
+    if r0 < r1 and c0 < c1:
+        keep[r0:r1, c0:c1] = probs[r0:r1, c0:c1] >= MASK_PIXEL_THRESHOLD
+    return BitMask(keep)
 
 
 def _center_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
@@ -199,7 +210,8 @@ def train(
     """Mini-batch gradient descent on per-pixel binary cross-entropy.
 
     Deterministic for a fixed (seed, data, config).  When ``base`` is
-    given, optimization starts from its parameters (fine-tuning).
+    given, optimization starts from its parameters (fine-tuning).  Raises
+    NonFiniteLossError when an epoch leaves a parameter non-finite.
     """
     if not examples:
         raise EmptyTrainingSetError("training requires at least one example")
@@ -209,7 +221,12 @@ def train(
         )
     radius = cfg.patch_radius
 
-    X = np.concatenate([patch_features(ex.image, radius) for ex in examples], axis=0)
+    # Filled in place: concatenating per-image blocks would hold X twice.
+    X = np.empty((sum(ex.image.size for ex in examples), feature_dim(radius)), dtype=np.float32)
+    row = 0
+    for ex in examples:
+        X[row : row + ex.image.size] = patch_features(ex.image, radius)
+        row += ex.image.size
     y = np.concatenate([ex.label_map().reshape(-1) for ex in examples]).astype(np.float64)
 
     if base is not None:
@@ -221,7 +238,7 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     n = y.size
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -230,9 +247,10 @@ def train(
             g = _sigmoid(z) - y[idx]
             w -= cfg.learning_rate * (xb.T @ g) / idx.size
             b -= cfg.learning_rate * float(g.mean())
-        loss = _bce(X @ w + b, y)
-        if not np.isfinite(loss):
-            raise NonFiniteLossError(f"training loss diverged to {loss}")
+        if not (np.all(np.isfinite(w)) and np.isfinite(b)):
+            raise NonFiniteLossError(
+                f"training diverged: non-finite parameters after epoch {epoch + 1}"
+            )
 
     return DetectorModel(
         weights=w,

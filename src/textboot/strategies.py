@@ -7,7 +7,8 @@ Three ways to turn detector output on pool images into training labels:
   weak (rectangle) annotation with IoU strictly above a threshold.
 * LOCAL  — skip detection entirely: for each weak rectangle, ask the
   model for the pixels inside it (one annotation per rectangle, never
-  rejected, empty masks kept as negative evidence by default).
+  rejected, empty masks kept as negative evidence by default).  The
+  model answers for all of an image's rectangles in one call.
 
 All selectors are pure: a fixed model and inputs give the same output.
 A PseudoSet converts back into a pixel-annotated dataset so retraining
@@ -165,17 +166,11 @@ def local_generate(
     empty-mask annotation, which trains as negative evidence.
     """
     cfg = cfg or StrategyConfig()
-    out = []
-    for box in weak_boxes:
-        mask = model.mask_for_box(image, box)
-        if mask.count == 0 and not cfg.keep_empty_local_masks:
-            continue
-        out.append(
-            PseudoAnnotation(
-                box=box, mask=mask, provenance=Provenance.LOCAL, round_index=round_index
-            )
-        )
-    return out
+    return [
+        PseudoAnnotation(box=box, mask=mask, provenance=Provenance.LOCAL, round_index=round_index)
+        for box, mask in zip(weak_boxes, model.masks_for_boxes(image, weak_boxes))
+        if mask.count or cfg.keep_empty_local_masks
+    ]
 
 
 _ALLOWED_TIERS = {

@@ -181,6 +181,9 @@ class _StubMaskModel:
         speckle = ((rows * 31 + cols * 17 + int(box.x_min * 3)) % 5) < 2
         return BitMask(in_box & speckle)
 
+    def masks_for_boxes(self, image, boxes) -> list[BitMask]:
+        return [self.mask_for_box(image, b) for b in boxes]
+
 
 def _random_detection(rng, extent: float = 24.0) -> Detection:
     box = _random_rect(rng, extent)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface (exit codes, artifacts)."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from textboot.cli import main
+from textboot.cli import build_parser, main
 from textboot.data import (
     AnnotationTier,
     Dataset,
@@ -16,7 +17,10 @@ from textboot.data import (
     load_dataset,
     save_dataset,
 )
+from textboot.detector import TrainConfig
 from textboot.evaluation import EvalConfig, evaluate
+from textboot.orchestrator import PipelineConfig, Strategy
+from textboot.strategies import StrategyConfig
 from textboot.cli import _manifest_detections
 from tests.test_detector import EASY
 
@@ -146,6 +150,8 @@ def test_run_local_full_artifacts_and_manifest(cli_world, tmp_path, capsys):
         assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
     assert man["rounds"][0]["pseudo"] is None
     assert man["rounds"][1]["pseudo"] == "round_001/pseudo.manifest"
+    # every model.bin, metrics.txt and pseudo.manifest checked above, with its hash
+    assert man["artifacts"] == {k: v for k, v in _hash_tree(run).items() if k != "run_manifest.json"}
 
 
 def test_run_filter_on_none_pool_fails_with_diagnostic(cli_world, tmp_path, capsys):
@@ -188,6 +194,38 @@ def test_usage_errors_exit_two(cli_world, tmp_path):
     assert main(["run", "--strategy", "bogus"]) == 2
     assert main(["bogus-command"]) == 2
     assert main([]) == 2
+
+
+def test_cli_defaults_come_from_the_dataclasses():
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    strategy, train = StrategyConfig(), TrainConfig()
+    pipeline, evaluation = PipelineConfig(strategy=Strategy.LOCAL), EvalConfig()
+    thresholds = {
+        "score_s": strategy.score_threshold,
+        "score_sprime": strategy.filter_score_threshold,
+        "iou_t": strategy.filter_iou_threshold,
+    }
+    want = {
+        "run": {
+            **thresholds,
+            "rounds": pipeline.rounds,
+            "seed": pipeline.seed,
+            "epochs": train.epochs,
+            "learning_rate": train.learning_rate,
+            "batch_size": train.batch_size,
+            "eval_iou": evaluation.iou_threshold,
+            "retrain_origin": pipeline.retrain_origin.value.lower(),
+            "annotate_with": pipeline.annotate_with.value.lower(),
+        },
+        "annotate": thresholds,
+        "eval": {"iou": evaluation.iou_threshold, "match_on": evaluation.match_on.value.lower()},
+    }
+    for command, fields in want.items():
+        defaults = {a.dest: a.default for a in commands[command]._actions}
+        for dest, value in fields.items():
+            assert defaults[dest] == value, f"{command} --{dest.replace('_', '-')}"
 
 
 # --- eval --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the patch-logistic detector: training, inference, serialization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from textboot.detector import (
     load_model,
     patch_features,
     save_model,
+    _sigmoid,
     train,
 )
 from textboot.errors import (
@@ -24,6 +26,7 @@ from textboot.errors import (
     NonFiniteLossError,
 )
 from textboot.geometry import AxisRect, BitMask, mask_iou, rasterize
+from textboot.strategies import local_generate
 
 EASY = dict(
     width=64,
@@ -143,6 +146,88 @@ def test_train_raises_on_divergence():
         warnings.simplefilter("ignore")
         with pytest.raises(NonFiniteLossError):
             train(None, [ex], TrainConfig(epochs=40, learning_rate=1e308, batch_size=64))
+
+
+# --- trainer against the reference loop -------------------------------------
+
+
+def _reference_sigmoid(z):
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_train(base, examples, cfg):
+    """The original training loop: one concatenated feature matrix, masked
+    sigmoid, and a full-data loss pass per epoch as the divergence check."""
+    X = np.concatenate([patch_features(ex.image, cfg.patch_radius) for ex in examples], axis=0)
+    y = np.concatenate([ex.label_map().reshape(-1) for ex in examples]).astype(np.float64)
+    if base is not None:
+        w, b = base.weights.copy(), float(base.bias)
+    else:
+        w, b = np.zeros(feature_dim(cfg.patch_radius), dtype=np.float64), 0.0
+    rng = np.random.default_rng(cfg.seed)
+    n = y.size
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            xb = X[idx]
+            g = _reference_sigmoid(xb @ w + b) - y[idx]
+            w -= cfg.learning_rate * (xb.T @ g) / idx.size
+            b -= cfg.learning_rate * float(g.mean())
+        z = X @ w + b
+        loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
+        if not np.isfinite(loss):
+            raise NonFiniteLossError(f"training loss diverged to {loss}")
+    return w, b
+
+
+def test_sigmoid_matches_reference_bit_for_bit():
+    z = np.array([
+        -np.inf, -1000, -745.2, -1e-300, -0.0, 0.0, 1e-300, 36.8, 745.2, 1000, np.inf,
+        np.nan, -np.nan,
+    ])
+    assert _sigmoid(z).tobytes() == _reference_sigmoid(z).tobytes()
+    z = np.random.default_rng(5).normal(0.0, 30.0, 10_000)
+    assert _sigmoid(z).tobytes() == _reference_sigmoid(z).tobytes()
+
+
+@pytest.mark.parametrize(
+    "case, cfg",
+    [
+        ("fresh", TrainConfig(epochs=3, seed=11)),
+        ("fine-tune", TrainConfig(epochs=2, seed=5, patch_radius=2)),
+        ("ragged batches", TrainConfig(epochs=2, seed=4, batch_size=1000)),
+        ("radius 1", TrainConfig(epochs=3, seed=2, patch_radius=1)),
+    ],
+)
+def test_train_matches_reference_loop_bit_for_bit(easy_world, case, cfg):
+    _, examples, model = easy_world
+    base = model if case == "fine-tune" else None
+    examples = examples[:3]
+    if case == "ragged batches":
+        assert sum(ex.image.size for ex in examples) % cfg.batch_size, "want a short last batch"
+    got = train(base, examples, cfg)
+    w, b = _reference_train(base, examples, cfg)
+    assert got.weights.tobytes() == w.tobytes()
+    assert got.bias == b
+
+
+def test_train_peak_memory_stays_near_the_feature_matrix(easy_world):
+    _, examples, _ = easy_world
+    cfg = TrainConfig(epochs=1, batch_size=512)
+    x_bytes = sum(ex.image.size for ex in examples) * feature_dim(cfg.patch_radius) * 4
+    tracemalloc.start()
+    try:
+        train(None, examples, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * x_bytes, f"peak {peak} B is {peak / x_bytes:.2f}x the feature matrix"
 
 
 # --- training quality --------------------------------------------------------
@@ -311,6 +396,45 @@ def test_mask_for_degenerate_box_raises(easy_world):
     _, examples, model = easy_world
     with pytest.raises(DegenerateBoxError):
         model.mask_for_box(examples[8].image, AxisRect(5, 5, 5, 9))
+
+
+def test_masks_for_boxes_equal_one_box_masks(easy_world):
+    _, examples, model = easy_world
+    ex = examples[9]
+    boxes = [
+        AxisRect(0, 0, 64, 64),
+        AxisRect(3.2, 7.9, 40.5, 30.1),
+        AxisRect(20, 20, 21, 21),
+        AxisRect(1000, 1000, 1010, 1010),
+    ]
+    got = model.masks_for_boxes(ex.image, boxes)
+    assert len(got) == len(boxes)
+    for mask, box in zip(got, boxes):
+        assert mask.pixels.tobytes() == model.mask_for_box(ex.image, box).pixels.tobytes()
+
+
+def test_masks_for_boxes_computes_one_prob_map_per_image(easy_world, monkeypatch):
+    _, examples, model = easy_world
+    calls = []
+    prob_map = DetectorModel.prob_map
+
+    def counted(self, image):
+        calls.append(image)
+        return prob_map(self, image)
+
+    monkeypatch.setattr(DetectorModel, "prob_map", counted)
+    assert model.masks_for_boxes(examples[8].image, []) == []
+    assert calls == []
+    boxes_per_image = [[AxisRect(0, 0, 10, 10), AxisRect(5, 5, 30, 40)], [], [AxisRect(2, 2, 9, 9)]]
+    for ex, boxes in zip(examples[8:], boxes_per_image):
+        assert len(local_generate(model, ex.image, boxes)) == len(boxes)
+    assert len(calls) == sum(1 for boxes in boxes_per_image if boxes)
+
+
+def test_masks_for_boxes_rejects_degenerate_box(easy_world):
+    _, examples, model = easy_world
+    with pytest.raises(DegenerateBoxError):
+        model.masks_for_boxes(examples[8].image, [AxisRect(0, 0, 8, 8), AxisRect(5, 5, 5, 9)])
 
 
 # --- save / load -------------------------------------------------------------

@@ -63,7 +63,7 @@ def _random_boxes(rng, n, grid=32):
 
 class OracleModel:
     """Plug-in stand-in: hands back pre-set truth, proving the selectors
-    only depend on the detector protocol (detect / mask_for_box)."""
+    only depend on the detector protocol (detect / masks_for_boxes)."""
 
     def __init__(self, truth_masks, detections=()):
         self.truth = list(truth_masks)
@@ -83,6 +83,9 @@ class OracleModel:
             ):
                 return m
         return BitMask(np.zeros_like(self.truth[0].pixels))
+
+    def masks_for_boxes(self, image, boxes):
+        return [self.mask_for_box(image, b) for b in boxes]
 
 
 # --- naive -------------------------------------------------------------------
