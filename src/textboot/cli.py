@@ -31,7 +31,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .detector import TrainConfig, load_model
+from .detector import TrainConfig
 from .errors import TextBootError
 from .evaluation import EvalConfig, MatchOn, evaluate
 from .geometry import Detection, Polygon, mask_bbox, rasterize
@@ -40,9 +40,10 @@ from .orchestrator import (
     PipelineConfig,
     RetrainOrigin,
     Strategy,
+    cross_domain_annotate,
     run_pipeline,
 )
-from .strategies import Provenance, StrategyConfig, annotate_pool, pseudo_to_dataset
+from .strategies import Provenance, StrategyConfig
 
 RUN_ROOT_ENV = "TEXTBOOT_RUN_ROOT"
 
@@ -216,19 +217,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    model = load_model(Path(args.model))
     pool = load_dataset(Path(args.pool))
-    pseudo = annotate_pool(
-        model,
+    pseudo = cross_domain_annotate(
+        Path(args.model),
         pool,
+        Path(args.out),
         Provenance[args.strategy.upper()],
         _strategy_cfg(args),
         round_index=args.round_index,
         jobs=args.jobs,
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(pseudo_to_dataset(pool, pseudo), out)
     print(f"annotated {len(pool.records)} images: {pseudo.count} pseudo instances -> {args.out}")
     return 0
 

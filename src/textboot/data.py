@@ -13,7 +13,8 @@ comma-separated numbers: exactly 4 numbers form a rectangle
 ``x_min,y_min,x_max,y_max`` (WEAK records only), an even count of 6 or more
 forms a polygon ``x1,y1,x2,y2,...`` (STRONG records only).  ``scores``
 align one-to-one with the record's polygons.  Image paths are resolved
-relative to the manifest's directory and written back the same way.
+relative to the manifest's directory and written back the same way, so a
+manifest's bytes do not depend on where its tree lives.
 
 Loaders reject malformed input; nothing is repaired silently.
 """
@@ -22,19 +23,14 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyDatasetError,
-    ManifestError,
-    MissingImageError,
-    TierViolationError,
-    WrongTierError,
-)
+from .errors import EmptyDatasetError, ImageError, ManifestError, MissingImageError, TierError
 from .geometry import AxisRect, Polygon, rasterize
 
 PROVENANCE_NAMES = ("NAIVE", "FILTER", "LOCAL")
@@ -63,14 +59,14 @@ class AnnotationRecord:
         if not self.image_id:
             raise ValueError("image_id must be non-empty")
         if self.tier is AnnotationTier.STRONG and self.rects:
-            raise TierViolationError(f"{self.image_id}: STRONG record carries rectangles")
+            raise TierError(f"{self.image_id}: STRONG record carries rectangles")
         if self.tier is AnnotationTier.WEAK and self.polygons:
-            raise TierViolationError(f"{self.image_id}: WEAK record carries polygons")
+            raise TierError(f"{self.image_id}: WEAK record carries polygons")
         if self.tier is AnnotationTier.NONE and (self.polygons or self.rects):
-            raise TierViolationError(f"{self.image_id}: NONE record carries geometry")
+            raise TierError(f"{self.image_id}: NONE record carries geometry")
         if self.scores is not None:
             if self.tier is not AnnotationTier.STRONG:
-                raise TierViolationError(f"{self.image_id}: scores only belong to STRONG records")
+                raise TierError(f"{self.image_id}: scores only belong to STRONG records")
             if len(self.scores) != len(self.polygons):
                 raise ValueError(
                     f"{self.image_id}: {len(self.scores)} scores for {len(self.polygons)} polygons"
@@ -117,13 +113,7 @@ def save_dataset(d: Dataset, manifest_path) -> None:
     base = path.resolve().parent
     lines = [f"#manifest width={d.image_width} height={d.image_height}"]
     for r in d.records:
-        img = Path(r.image_path)
-        try:
-            rel = img.resolve().relative_to(base)
-            shown = str(rel)
-        except ValueError:
-            shown = str(img)
-        fields = [r.image_id, shown, r.tier.value]
+        fields = [r.image_id, os.path.relpath(Path(r.image_path).resolve(), base), r.tier.value]
         if r.provenance is not None:
             fields.append(f"provenance={r.provenance}")
         if r.round_index is not None:
@@ -142,7 +132,7 @@ def load_dataset(manifest_path, require_images: bool = True) -> Dataset:
     """Parse a manifest into a validated Dataset.
 
     Raises ManifestError with the offending line number on malformed input,
-    TierViolationError on tier/geometry conflicts, and MissingImageError
+    TierError on tier/geometry conflicts, and MissingImageError
     when a referenced image file is absent (unless require_images=False,
     which is only for tooling that never opens the pixels).
     """
@@ -208,7 +198,7 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
         vals = _parse_floats(token, lineno)
         if len(vals) == 4:
             if tier is not AnnotationTier.WEAK:
-                raise TierViolationError(
+                raise TierError(
                     f"line {lineno}: rectangle geometry on a {tier.value} record"
                 )
             try:
@@ -217,7 +207,7 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
                 raise ManifestError(str(e), lineno) from e
         elif len(vals) >= 6 and len(vals) % 2 == 0:
             if tier is not AnnotationTier.STRONG:
-                raise TierViolationError(
+                raise TierError(
                     f"line {lineno}: polygon geometry on a {tier.value} record"
                 )
             try:
@@ -227,9 +217,7 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
         else:
             raise ManifestError(f"geometry needs 4 or an even count >= 6 numbers, got {len(vals)}", lineno)
 
-    resolved = Path(rel_path)
-    if not resolved.is_absolute():
-        resolved = base / resolved
+    resolved = Path(os.path.normpath(base / rel_path))
     if require_images and not resolved.is_file():
         raise MissingImageError(f"line {lineno}: image file not found: {resolved}")
 
@@ -275,10 +263,14 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
+    """Pixels of a P5 file.  Raises ImageError, naming ``path``, on a bad file."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise ImageError(f"{path}: cannot read image: {e.strerror}") from e
     if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
+        raise ImageError(f"{path}: not a binary PGM (P5) file")
     # Header is three whitespace-separated tokens after the magic; '#'
     # starts a comment running to end of line.
     tokens: list[int] = []
@@ -293,31 +285,45 @@ def read_pgm(path) -> np.ndarray:
         j = i
         while j < len(data) and not data[j : j + 1].isspace():
             j += 1
-        if i == j:
-            raise ValueError(f"{path}: truncated PGM header")
+        if i == j or not data[i:j].isdigit():
+            raise ImageError(f"{path}: truncated or malformed PGM header")
         tokens.append(int(data[i:j]))
         i = j
     i += 1  # single whitespace byte after maxval
     w, h, maxval = tokens
     if maxval != 255:
-        raise ValueError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+        raise ImageError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     body = data[i : i + w * h]
     if len(body) != w * h:
-        raise ValueError(f"{path}: PGM body has {len(body)} bytes, expected {w * h}")
+        raise ImageError(f"{path}: PGM body has {len(body)} bytes, expected {w * h}")
     return np.frombuffer(body, dtype=np.uint8).reshape(h, w).copy()
+
+
+def read_image(d: Dataset, r: AnnotationRecord) -> np.ndarray:
+    """The pixels of ``d``'s record ``r``; every stage reads images here.
+
+    Raises ImageError when the file's size is not the dataset's.
+    """
+    image = read_pgm(r.image_path)
+    if image.shape != (d.image_height, d.image_width):
+        raise ImageError(
+            f"{r.image_id}: {r.image_path} is {image.shape[1]}x{image.shape[0]}, "
+            f"its dataset is {d.image_width}x{d.image_height}"
+        )
+    return image
 
 
 def downgrade_to_weak(r: AnnotationRecord) -> AnnotationRecord:
     """Replace each polygon by its bounding rectangle; order preserved."""
     if r.tier is not AnnotationTier.STRONG:
-        raise WrongTierError(f"{r.image_id}: can only downgrade STRONG records, got {r.tier.value}")
+        raise TierError(f"{r.image_id}: can only downgrade STRONG records, got {r.tier.value}")
     rects = tuple(p.bounding_box() for p in r.polygons)
     return AnnotationRecord(r.image_id, r.image_path, AnnotationTier.WEAK, rects=rects)
 
 
 def _strip_to_none(r: AnnotationRecord) -> AnnotationRecord:
     if r.tier is not AnnotationTier.STRONG:
-        raise WrongTierError(f"{r.image_id}: can only downgrade STRONG records, got {r.tier.value}")
+        raise TierError(f"{r.image_id}: can only downgrade STRONG records, got {r.tier.value}")
     return AnnotationRecord(r.image_id, r.image_path, AnnotationTier.NONE)
 
 

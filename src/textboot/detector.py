@@ -16,7 +16,6 @@ the same protocol can be dropped in behind it:
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 
@@ -37,11 +36,6 @@ MASK_PIXEL_THRESHOLD = 0.5  # symmetric point of the BCE loss; not configurable
 _MAGIC = b"TXBM"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIdIIIQQ")
-
-
-class ExampleSource(enum.Enum):
-    ORIGINAL = "ORIGINAL"
-    PSEUDO = "PSEUDO"
 
 
 @dataclass(frozen=True)
@@ -75,15 +69,14 @@ class TrainExample:
 
     image: np.ndarray
     masks: tuple[BitMask, ...]
-    source: ExampleSource
 
     def __post_init__(self) -> None:
         img = np.asarray(self.image)
         if img.ndim != 2 or img.dtype != np.uint8:
             raise ValueError(f"image must be a 2-d uint8 array, got {img.dtype} {img.shape}")
         for m in self.masks:
-            if m.pixels.shape != img.shape or m.frame is not None:
-                raise ValueError("instance masks must be image-frame and match the image shape")
+            if m.pixels.shape != img.shape:
+                raise ValueError("instance masks must match the image shape")
         object.__setattr__(self, "image", img)
 
     def label_map(self) -> np.ndarray:

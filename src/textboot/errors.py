@@ -31,16 +31,14 @@ class MissingImageError(TextBootError):
     """A manifest references an image file that does not exist."""
 
 
-class TierViolationError(TextBootError):
-    """A record carries geometry its annotation tier forbids."""
+class ImageError(TextBootError):
+    """An image file is not a readable 8-bit PGM, or its size disagrees
+    with its dataset.  The message names the file."""
 
 
-class WrongTierError(TextBootError):
-    """An operation was applied to a record of the wrong tier."""
-
-
-class TierMismatchError(TextBootError):
-    """A strategy or pipeline stage got a pool of an unusable tier."""
+class TierError(TextBootError):
+    """A record's annotation tier does not fit: geometry the tier forbids,
+    or a record handed to an operation that needs another tier."""
 
 
 class EmptyDatasetError(TextBootError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AnnotationTier, Dataset
-from .errors import DimensionMismatchError, TierMismatchError, TooManyInstancesError
+from .errors import DimensionMismatchError, TierError, TooManyInstancesError
 from .geometry import Detection, mask_iou, rasterize, rect_iou
 
 BRUTE_FORCE_CAP = 8
@@ -133,7 +133,7 @@ def evaluate(
     cfg = cfg or EvalConfig()
     for rec in truth.records:
         if rec.tier is not AnnotationTier.STRONG:
-            raise TierMismatchError(
+            raise TierError(
                 f"{rec.image_id}: evaluation needs pixel annotations, got {rec.tier.name}"
             )
     known = {rec.image_id for rec in truth.records}
@@ -147,7 +147,7 @@ def evaluate(
     for rec in sorted(truth.records, key=lambda r: r.image_id):
         dets = sorted(detections.get(rec.image_id, []), key=lambda d: -d.score)
         for d in dets:
-            if d.mask.pixels.shape != (h, w) or d.mask.frame is not None:
+            if d.mask.pixels.shape != (h, w):
                 raise DimensionMismatchError(
                     f"{rec.image_id}: detection mask shape {d.mask.pixels.shape} does not "
                     f"match image dims {(h, w)}"

@@ -7,8 +7,10 @@ Conventions used across the toolkit:
   coordinates are integers.
 - Rasterization tests pixel centers ``(col + 0.5, row + 0.5)`` against the
   polygon with the even-odd rule.
-- A ``BitMask`` lives either in the image frame (``frame is None``) or in a
-  box-local window (``frame`` set to the source box by :func:`crop_mask`).
+- A ``BitMask`` always covers the whole image raster.
+- Mask -> polygons -> mask (:func:`mask_to_polygon`, then :func:`rasterize`
+  of each outline) fills holes: it also sets every background pixel that
+  cannot reach the border through 8-connected background.
 - Connectivity is 4-way everywhere: diagonal neighbours are separate
   components.
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateBoxError, DimensionMismatchError, EmptyMaskError
+from .errors import DimensionMismatchError, EmptyMaskError
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -143,10 +145,9 @@ def _check_simple(verts: tuple[Point, ...]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class BitMask:
-    """Binary pixel mask.  ``frame is None`` means the full image raster."""
+    """Binary pixel mask over the full image raster."""
 
     pixels: np.ndarray
-    frame: AxisRect | None = None
 
     def __post_init__(self) -> None:
         px = np.asarray(self.pixels, dtype=bool)
@@ -171,7 +172,7 @@ class BitMask:
     def __eq__(self, other):
         if not isinstance(other, BitMask):
             return NotImplemented
-        return self.frame == other.frame and np.array_equal(self.pixels, other.pixels)
+        return np.array_equal(self.pixels, other.pixels)
 
 
 @dataclass(frozen=True)
@@ -185,8 +186,6 @@ class Detection:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
-        if self.mask.frame is not None:
-            raise ValueError("detection masks must be in the image frame")
         if self.mask.count > 0:
             tight = mask_bbox(self.mask)
             if (
@@ -246,11 +245,9 @@ def rasterize(p: Polygon, width: int, height: int) -> BitMask:
 
 
 def mask_iou(a: BitMask, b: BitMask) -> float:
-    """Pixel IoU of two masks in the same frame; empty vs empty is 0.0."""
-    if a.pixels.shape != b.pixels.shape or a.frame != b.frame:
-        raise DimensionMismatchError(
-            f"mask shapes/frames differ: {a.pixels.shape}/{a.frame} vs {b.pixels.shape}/{b.frame}"
-        )
+    """Pixel IoU of two masks of the same shape; empty vs empty is 0.0."""
+    if a.pixels.shape != b.pixels.shape:
+        raise DimensionMismatchError(f"mask shapes differ: {a.pixels.shape} vs {b.pixels.shape}")
     inter = int(np.count_nonzero(a.pixels & b.pixels))
     union = int(np.count_nonzero(a.pixels | b.pixels))
     if union == 0:
@@ -266,31 +263,6 @@ def mask_bbox(m: BitMask) -> AxisRect:
     return AxisRect(
         float(cols.min()), float(rows.min()), float(cols.max()) + 1.0, float(rows.max()) + 1.0
     )
-
-
-def crop_mask(m: BitMask, box: AxisRect, out_width: int, out_height: int) -> BitMask:
-    """Nearest-neighbour resample of ``m`` restricted to ``box``.
-
-    Output pixel centers are mapped linearly into the box; samples falling
-    outside the source mask read as unset.  The result carries ``box`` as
-    its frame.
-    """
-    if box.area <= 0.0:
-        raise DegenerateBoxError(f"cannot crop to a zero-area box: {box}")
-    if out_width < 1 or out_height < 1:
-        raise ValueError(f"output dims must be positive, got {out_width}x{out_height}")
-    sx = box.x_min + (np.arange(out_width) + 0.5) * box.width / out_width
-    sy = box.y_min + (np.arange(out_height) + 0.5) * box.height / out_height
-    cols = np.floor(sx).astype(int)
-    rows = np.floor(sy).astype(int)
-    col_ok = (cols >= 0) & (cols < m.width)
-    row_ok = (rows >= 0) & (rows < m.height)
-    out = np.zeros((out_height, out_width), dtype=bool)
-    if col_ok.any() and row_ok.any():
-        rr = rows[row_ok]
-        cc = cols[col_ok]
-        out[np.ix_(row_ok, col_ok)] = m.pixels[np.ix_(rr, cc)]
-    return BitMask(out, frame=box)
 
 
 def mask_to_polygon(m: BitMask) -> list[Polygon]:

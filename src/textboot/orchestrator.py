@@ -22,22 +22,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data import AnnotationTier, Dataset, read_pgm, save_dataset
-from .detector import (
-    DetectorModel,
-    ExampleSource,
-    TrainConfig,
-    TrainExample,
-    load_model,
-    save_model,
-    train,
-)
+from .data import AnnotationTier, Dataset, read_image, save_dataset
+from .detector import DetectorModel, TrainConfig, TrainExample, load_model, save_model, train
 from .errors import (
     DimensionMismatchError,
     DisjointnessError,
     EmptyDatasetError,
     TextBootError,
-    WrongTierError,
+    TierError,
 )
 from .evaluation import EvalConfig, EvalReport, evaluate
 from .geometry import rasterize
@@ -111,25 +103,18 @@ def best_round_index(reports) -> int:
     return max(range(len(reports)), key=lambda i: reports[i].f_measure)
 
 
-def dataset_examples(
-    dataset: Dataset, source: ExampleSource, image_root: Path | str | None = None
-) -> list[TrainExample]:
+def dataset_examples(dataset: Dataset) -> list[TrainExample]:
     """Load a pixel-annotated dataset into trainable examples."""
-    root = Path(image_root) if image_root is not None else None
     out = []
     for rec in dataset.records:
         if rec.tier is not AnnotationTier.STRONG:
-            raise WrongTierError(
+            raise TierError(
                 f"{rec.image_id}: training needs pixel annotations, got {rec.tier.name}"
             )
-        path = Path(rec.image_path)
-        if root is not None and not path.is_absolute():
-            path = root / path
-        image = read_pgm(path)
         masks = tuple(
             rasterize(p, dataset.image_width, dataset.image_height) for p in rec.polygons
         )
-        out.append(TrainExample(image=image, masks=masks, source=source))
+        out.append(TrainExample(image=read_image(dataset, rec), masks=masks))
     return out
 
 
@@ -157,19 +142,10 @@ def _check_dims(*datasets: Dataset) -> None:
 
 
 def _evaluate_model(
-    model: DetectorModel,
-    test: Dataset,
-    eval_cfg: EvalConfig,
-    image_root: Path | str | None,
-    jobs: int,
+    model: DetectorModel, test: Dataset, eval_cfg: EvalConfig, jobs: int
 ) -> EvalReport:
-    root = Path(image_root) if image_root is not None else None
-
     def detect_one(rec):
-        path = Path(rec.image_path)
-        if root is not None and not path.is_absolute():
-            path = root / path
-        return rec.image_id, model.detect(read_pgm(path))
+        return rec.image_id, model.detect(read_image(test, rec))
 
     if jobs > 1 and len(test.records) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
@@ -215,12 +191,12 @@ def run_pipeline(
     test: Dataset,
     cfg: PipelineConfig,
     run_dir: Path | str,
-    image_root: Path | str | None = None,
     jobs: int = 1,
 ) -> RunResult:
     """Execute one full bootstrap run, writing artifacts under run_dir.
 
-    A domain error mid-round (bad data, diverged training, tier misuse)
+    A domain error mid-round (a bad or wrong-size image, diverged
+    training, tier misuse)
     stops the run and returns the rounds finished so far with
     ``incomplete=True``; programming errors propagate.  ``best_round``
     is -1 when not even the baseline round finished.
@@ -237,12 +213,12 @@ def run_pipeline(
     incomplete = False
     failure = None
     try:
-        strong_examples = dataset_examples(strong, ExampleSource.ORIGINAL, image_root)
+        strong_examples = dataset_examples(strong)
 
         if cfg.strategy is Strategy.FULLY:
             for rec in pool.records:
                 if rec.tier is not AnnotationTier.STRONG:
-                    raise WrongTierError(
+                    raise TierError(
                         f"{rec.image_id}: the upper-bound setting needs a pixel-annotated "
                         f"pool, got {rec.tier.name}"
                     )
@@ -256,9 +232,7 @@ def run_pipeline(
             pseudo_count = 0
 
             if cfg.strategy is Strategy.FULLY:
-                examples = strong_examples + dataset_examples(
-                    pool, ExampleSource.ORIGINAL, image_root
-                )
+                examples = strong_examples + dataset_examples(pool)
                 base = None
             elif r == 0:
                 examples = strong_examples
@@ -274,22 +248,19 @@ def run_pipeline(
                     _STRATEGY_TO_PROVENANCE[cfg.strategy],
                     cfg.strategy_cfg,
                     round_index=r,
-                    image_root=image_root,
                     jobs=jobs,
                 )
                 pseudo_ds = pseudo_to_dataset(pool, pseudo)
                 save_dataset(pseudo_ds, rdir / "pseudo.manifest")
                 pseudo_count = pseudo.count
-                examples = strong_examples + dataset_examples(
-                    pseudo_ds, ExampleSource.PSEUDO, image_root
-                )
+                examples = strong_examples + dataset_examples(pseudo_ds)
                 base = models[0] if cfg.retrain_origin is RetrainOrigin.FROM_BASELINE else models[-1]
 
             train_cfg = replace(cfg.train_cfg, seed=cfg.seed + r)
             model = train(base, examples, train_cfg)
             model_path = rdir / "model.bin"
             save_model(model, model_path)
-            report = _evaluate_model(model, test, cfg.eval_cfg, image_root, jobs)
+            report = _evaluate_model(model, test, cfg.eval_cfg, jobs)
             _write_round_metrics(rdir / "metrics.txt", r, pseudo_count, report)
 
             models.append(model)
@@ -319,24 +290,20 @@ def cross_domain_annotate(
     model_path: Path | str,
     target_pool: Dataset,
     out: Path | str,
+    strategy: Provenance = Provenance.LOCAL,
     strategy_cfg: StrategyConfig | None = None,
-    image_root: Path | str | None = None,
+    round_index: int = 0,
     jobs: int = 1,
 ) -> PseudoSet:
-    """Annotate a new domain's weak pool with an already-trained model.
+    """Annotate a pool, possibly of a new domain, with an already-trained model.
 
-    Applies the one-annotation-per-rectangle strategy and writes the
-    result as a pixel-annotated manifest at ``out``, ready to train on.
+    Applies ``strategy`` (by default one annotation per rectangle) and
+    writes the result as a pixel-annotated manifest at ``out``, ready to
+    train on.
     """
-    model = load_model(model_path)
     pseudo = annotate_pool(
-        model,
-        target_pool,
-        Provenance.LOCAL,
-        strategy_cfg or StrategyConfig(),
-        round_index=0,
-        image_root=image_root,
-        jobs=jobs,
+        load_model(model_path), target_pool, strategy, strategy_cfg,
+        round_index=round_index, jobs=jobs,
     )
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)

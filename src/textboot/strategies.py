@@ -7,7 +7,7 @@ Three ways to turn detector output on pool images into training labels:
   weak (rectangle) annotation with IoU strictly above a threshold.
 * LOCAL  — skip detection entirely: for each weak rectangle, ask the
   model for the pixels inside it (one annotation per rectangle, never
-  rejected, empty masks kept as negative evidence by default).  The
+  rejected; an empty mask is kept and trains as negative evidence).  The
   model answers for all of an image's rectangles in one call.
 
 All selectors are pure: a fixed model and inputs give the same output.
@@ -21,12 +21,11 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .data import AnnotationRecord, AnnotationTier, Dataset, read_pgm
-from .errors import TierMismatchError
+from .data import AnnotationRecord, AnnotationTier, Dataset, read_image
+from .errors import TierError
 from .geometry import AxisRect, BitMask, Detection, mask_bbox, mask_to_polygon, rect_iou
 
 
@@ -45,7 +44,6 @@ class StrategyConfig:
     score_threshold: float = 0.5
     filter_score_threshold: float = 0.4
     filter_iou_threshold: float = 0.3
-    keep_empty_local_masks: bool = True
 
     def __post_init__(self) -> None:
         for name in ("score_threshold", "filter_score_threshold", "filter_iou_threshold"):
@@ -65,8 +63,6 @@ class PseudoAnnotation:
     score: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mask.frame is not None:
-            raise ValueError("pseudo-annotation masks must be in the image frame")
         if self.round_index < 0:
             raise ValueError(f"round_index must be >= 0, got {self.round_index}")
         if self.score is not None and not 0.0 <= self.score <= 1.0:
@@ -156,20 +152,17 @@ def local_generate(
     model,
     image: np.ndarray,
     weak_boxes: list[AxisRect],
-    cfg: StrategyConfig | None = None,
     round_index: int = 0,
 ) -> list[PseudoAnnotation]:
     """One annotation per weak rectangle: the model's pixels inside it.
 
-    No thresholding and no rejection; with keep_empty_local_masks (the
-    default) rectangles where the model finds nothing still produce an
-    empty-mask annotation, which trains as negative evidence.
+    No thresholding and no rejection; rectangles where the model finds
+    nothing still produce an empty-mask annotation, which trains as
+    negative evidence.
     """
-    cfg = cfg or StrategyConfig()
     return [
         PseudoAnnotation(box=box, mask=mask, provenance=Provenance.LOCAL, round_index=round_index)
         for box, mask in zip(weak_boxes, model.masks_for_boxes(image, weak_boxes))
-        if mask.count or cfg.keep_empty_local_masks
     ]
 
 
@@ -186,32 +179,28 @@ def annotate_pool(
     strategy: Provenance,
     cfg: StrategyConfig | None = None,
     round_index: int = 0,
-    image_root: Path | str | None = None,
     jobs: int = 1,
 ) -> PseudoSet:
     """Run one strategy over every pool image.
 
     Every pool image appears in the result, with an empty annotation list
-    where nothing was selected.  ``image_root`` resolves relative image
-    paths (as written by the scene generator); ``jobs`` > 1 processes
-    images concurrently without changing the output.
+    where nothing was selected.  Images are read through
+    :func:`~textboot.data.read_image`; ``jobs`` > 1 processes images
+    concurrently without changing the output.
     """
     cfg = cfg or StrategyConfig()
     allowed = _ALLOWED_TIERS[strategy]
     for rec in pool.records:
         if rec.tier not in allowed:
             names = " or ".join(t.name for t in allowed)
-            raise TierMismatchError(
+            raise TierError(
                 f"{rec.image_id}: {strategy.value} strategy needs tier {names}, got {rec.tier.name}"
             )
 
-    root = Path(image_root) if image_root is not None else None
-
     def one(rec: AnnotationRecord) -> tuple[str, tuple[PseudoAnnotation, ...]]:
-        path = Path(rec.image_path)
-        image = read_pgm(root / path if root is not None and not path.is_absolute() else path)
+        image = read_image(pool, rec)
         if strategy is Provenance.LOCAL:
-            anns = local_generate(model, image, list(rec.rects), cfg, round_index)
+            anns = local_generate(model, image, list(rec.rects), round_index)
         elif strategy is Provenance.FILTER:
             anns = filter_select(model.detect(image), list(rec.rects), cfg, round_index)
         else:

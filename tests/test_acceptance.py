@@ -26,7 +26,7 @@ from textboot.data import (
     read_pgm,
     split_dataset,
 )
-from textboot.detector import ExampleSource, TrainConfig, load_model, train
+from textboot.detector import TrainConfig, load_model, train
 from textboot.evaluation import (
     EvalConfig,
     brute_force_match,
@@ -242,7 +242,7 @@ def test_selection_strategies_match_reference_rules():
     image = np.zeros(model.shape, dtype=np.uint8)
     for _ in range(300):  # box-conditioned generation: one mask per box, bit-equal
         weak = [_random_rect(rng, extent=20.0) for _ in range(int(rng.integers(0, 6)))]
-        out = local_generate(model, image, weak, cfg)
+        out = local_generate(model, image, weak)
         assert len(out) == len(weak)
         for ann, box in zip(out, weak):
             assert ann.box == box
@@ -429,7 +429,7 @@ def test_cross_domain_weak_adaptation_improves(tmp_path):
             replace(r, image_path=paths[r.image_id]) for r in pseudo_ds.records
         ),
     )
-    examples = dataset_examples(pseudo_ds, ExampleSource.PSEUDO)
+    examples = dataset_examples(pseudo_ds)
     tuned = train(
         model, examples, TrainConfig(epochs=12, seed=77, patch_radius=model.patch_radius)
     )

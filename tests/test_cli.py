@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from textboot.data import (
     SceneSpec,
     generate_synthetic,
     load_dataset,
+    read_pgm,
     save_dataset,
+    write_pgm,
 )
 from textboot.detector import TrainConfig
 from textboot.evaluation import EvalConfig, evaluate
@@ -169,7 +172,22 @@ def test_run_filter_on_none_pool_fails_with_diagnostic(cli_world, tmp_path, caps
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert "incomplete" in err and "TierMismatch" in err
+    assert "incomplete" in err and "TierError" in err
+
+
+def test_run_with_a_wrong_size_image_is_marked_incomplete(cli_world, tmp_path, capsys):
+    world = tmp_path / "world"
+    shutil.copytree(cli_world, world)
+    victim = load_dataset(world / "splits" / "strong.manifest").records[1]
+    assert Path(victim.image_path).is_relative_to(world)  # manifests travel with the tree
+    write_pgm(victim.image_path, read_pgm(victim.image_path)[:48, :48])
+    assert main(_run_args(world, tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert "incomplete: ImageError" in err
+    assert victim.image_id in err and victim.image_path in err and "48x48" in err
+    man = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert man["incomplete"] and man["best_round"] == -1 and man["rounds"] == []
+    assert (tmp_path / "run" / "metrics.txt").read_text() == "best_round=-1\n"
 
 
 def test_run_determinism_byte_identical(cli_world, tmp_path):

@@ -16,10 +16,10 @@ from textboot.data import (
 )
 from textboot.errors import (
     EmptyDatasetError,
+    ImageError,
     ManifestError,
     MissingImageError,
-    TierViolationError,
-    WrongTierError,
+    TierError,
 )
 from textboot.geometry import AxisRect, BitMask, Polygon, mask_iou, rasterize
 
@@ -35,13 +35,13 @@ def make_image(tmp_path, name, w=16, h=16, value=100):
 
 
 def test_record_tier_invariants():
-    with pytest.raises(TierViolationError):
+    with pytest.raises(TierError):
         AnnotationRecord("a", "a.pgm", AnnotationTier.WEAK, polygons=(tri(),))
-    with pytest.raises(TierViolationError):
+    with pytest.raises(TierError):
         AnnotationRecord("a", "a.pgm", AnnotationTier.STRONG, rects=(AxisRect(0, 0, 1, 1),))
-    with pytest.raises(TierViolationError):
+    with pytest.raises(TierError):
         AnnotationRecord("a", "a.pgm", AnnotationTier.NONE, polygons=(tri(),))
-    with pytest.raises(TierViolationError):
+    with pytest.raises(TierError):
         AnnotationRecord("a", "a.pgm", AnnotationTier.WEAK, scores=(0.5,))
     with pytest.raises(ValueError):
         AnnotationRecord("a", "a.pgm", AnnotationTier.STRONG, polygons=(tri(),), scores=(0.5, 0.6))
@@ -62,6 +62,31 @@ def test_pgm_roundtrip(tmp_path):
     p = tmp_path / "x.pgm"
     write_pgm(p, img)
     assert np.array_equal(read_pgm(p), img)
+
+
+def test_read_pgm_errors_name_the_file(tmp_path):
+    bad = {
+        "magic.pgm": b"P2\n2 2\n255\n0000",
+        "header.pgm": b"P5\n2 x\n255\n0000",
+        "short.pgm": b"P5\n2 2\n255\n000",
+        "depth.pgm": b"P5\n2 2\n65535\n00000000",
+    }
+    for name, blob in bad.items():
+        (tmp_path / name).write_bytes(blob)
+    for name in [*bad, "missing.pgm"]:
+        with pytest.raises(ImageError, match=name):
+            read_pgm(tmp_path / name)
+
+
+def test_manifest_names_images_relative_to_itself(tmp_path):
+    (tmp_path / "imgs").mkdir()
+    path = make_image(tmp_path / "imgs", "a.pgm")
+    ds = Dataset((AnnotationRecord("a", path, AnnotationTier.NONE),), 16, 16)
+    mpath = tmp_path / "runs" / "r1" / "data.manifest"
+    mpath.parent.mkdir(parents=True)
+    save_dataset(ds, mpath)
+    assert mpath.read_text().splitlines()[1] == "a\t../../imgs/a.pgm\tNONE"
+    assert load_dataset(mpath) == ds
 
 
 def test_manifest_roundtrip_structural(tmp_path):
@@ -143,7 +168,7 @@ def test_manifest_errors(tmp_path):
         load_dataset(m)
 
     m.write_text("#manifest width=16 height=16\na\ta.pgm\tWEAK\t0,0,4,0,4,4,0,4\n")
-    with pytest.raises(TierViolationError):
+    with pytest.raises(TierError):
         load_dataset(m)
 
     m.write_text("#manifest width=16 height=16\na\ta.pgm\tSTRONG\t1,2,3\n")
@@ -209,7 +234,7 @@ def test_downgrade_to_weak():
     assert weak.rects[0] == AxisRect(0, -2, 8, 2)
     assert weak.rects[1] == AxisRect(1, 1, 3, 3)
     assert len(weak.rects) == 3
-    with pytest.raises(WrongTierError):
+    with pytest.raises(TierError):
         downgrade_to_weak(weak)
 
 

@@ -9,7 +9,6 @@ import pytest
 from textboot.data import AnnotationTier, SceneSpec, generate_synthetic, read_pgm
 from textboot.detector import (
     DetectorModel,
-    ExampleSource,
     TrainConfig,
     TrainExample,
     feature_dim,
@@ -48,7 +47,7 @@ def _examples(dataset, root):
         masks = tuple(
             rasterize(p, dataset.image_width, dataset.image_height) for p in rec.polygons
         )
-        out.append(TrainExample(image=img, masks=masks, source=ExampleSource.ORIGINAL))
+        out.append(TrainExample(image=img, masks=masks))
     return out
 
 
@@ -119,10 +118,7 @@ def test_train_example_rejects_mismatched_mask():
     img = np.zeros((8, 8), dtype=np.uint8)
     bad = BitMask(np.zeros((4, 4), dtype=bool))
     with pytest.raises(ValueError):
-        TrainExample(image=img, masks=(bad,), source=ExampleSource.ORIGINAL)
-    boxed = BitMask(np.zeros((8, 8), dtype=bool), frame=AxisRect(0, 0, 8, 8))
-    with pytest.raises(ValueError):
-        TrainExample(image=img, masks=(boxed,), source=ExampleSource.ORIGINAL)
+        TrainExample(image=img, masks=(bad,))
 
 
 def test_train_rejects_empty_example_list():
@@ -141,7 +137,7 @@ def test_train_raises_on_divergence():
     img = rng.integers(0, 256, (16, 16)).astype(np.uint8)
     m = np.zeros((16, 16), dtype=bool)
     m[4:10, 4:10] = True
-    ex = TrainExample(image=img, masks=(BitMask(m),), source=ExampleSource.ORIGINAL)
+    ex = TrainExample(image=img, masks=(BitMask(m),))
     with np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         with pytest.raises(NonFiniteLossError):

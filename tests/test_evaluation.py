@@ -6,7 +6,7 @@ import pytest
 from textboot.data import AnnotationRecord, AnnotationTier, Dataset
 from textboot.errors import (
     DimensionMismatchError,
-    TierMismatchError,
+    TierError,
     TooManyInstancesError,
 )
 from textboot.evaluation import (
@@ -209,7 +209,7 @@ def test_evaluate_rejects_non_strong_truth():
         tier=AnnotationTier.WEAK,
         rects=(AxisRect(0, 0, 5, 5),),
     )
-    with pytest.raises(TierMismatchError):
+    with pytest.raises(TierError):
         evaluate({}, _truth(rec))
 
 

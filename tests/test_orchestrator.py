@@ -1,7 +1,9 @@
 """Tests for the bootstrap loop: rounds, artifacts, determinism, recovery."""
 
 import hashlib
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,14 +14,16 @@ from textboot.data import (
     SceneSpec,
     generate_synthetic,
     load_dataset,
+    read_pgm,
+    save_dataset,
     split_dataset,
+    write_pgm,
 )
-from textboot.detector import ExampleSource, TrainConfig, load_model
+from textboot.detector import TrainConfig, load_model
 from textboot.errors import (
     DisjointnessError,
     EmptyDatasetError,
-    TierMismatchError,
-    WrongTierError,
+    TierError,
 )
 from textboot.orchestrator import (
     AnnotateWith,
@@ -80,8 +84,8 @@ def test_config_validation():
 
 def test_dataset_examples_rejects_weak(world):
     _, _, weak_pool, _, _ = world
-    with pytest.raises(WrongTierError):
-        dataset_examples(weak_pool, ExampleSource.ORIGINAL)
+    with pytest.raises(TierError):
+        dataset_examples(weak_pool)
 
 
 def test_rounds_zero_gives_only_baseline(world, tmp_path):
@@ -177,13 +181,25 @@ def test_mid_round_domain_error_yields_partial_result(world, tmp_path):
     cfg = PipelineConfig(strategy=Strategy.FILTER, rounds=2, train_cfg=FAST)
     result = run_pipeline(strong, none_pool, test_ds, cfg, tmp_path / "run")
     assert result.incomplete
-    assert result.failure is not None and "TierMismatch" in result.failure
+    assert result.failure is not None and "TierError" in result.failure
     assert len(result.reports) == 1  # baseline only
     assert result.best_round == 0
     # run-level metrics still written for the completed rounds
     lines = (tmp_path / "run" / "metrics.txt").read_text().splitlines()
     assert sum(1 for ln in lines if ln.startswith("round=")) == 1
     assert lines[-1] == "best_round=0"
+
+
+def test_wrong_size_pool_image_stops_the_run(world, tmp_path):
+    _, strong, weak_pool, _, test_ds = world
+    victim = weak_pool.records[0]
+    small = tmp_path / "small.pgm"
+    write_pgm(small, read_pgm(victim.image_path)[:40, :])
+    pool = replace(weak_pool, records=(replace(victim, image_path=str(small)),) + weak_pool.records[1:])
+    cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=1, train_cfg=FAST)
+    result = run_pipeline(strong, pool, test_ds, cfg, tmp_path / "run")
+    assert result.incomplete and len(result.reports) == 1
+    assert result.failure.startswith("ImageError: ") and victim.image_id in result.failure
 
 
 def test_naive_accepts_none_tier_pool(world, tmp_path):
@@ -218,6 +234,31 @@ def test_runs_are_byte_deterministic(world, tmp_path):
     assert [(r.f_measure, r.pseudo_count) for r in r1.reports] == [
         (r.f_measure, r.pseudo_count) for r in r2.reports
     ]
+
+
+def test_moved_tree_reproduces_its_pseudo_manifests(tmp_path):
+    a = tmp_path / "a"
+    train_ds = generate_synthetic(SceneSpec(n_images=6, seed=53, **EASY), a / "train")
+    test_ds = generate_synthetic(SceneSpec(n_images=2, seed=54, prefix="t", **EASY), a / "test")
+    strong, pool = split_dataset(train_ds, 0.34, seed=1)
+    for name, ds in (("strong", strong), ("pool", pool), ("test", test_ds)):
+        save_dataset(ds, a / f"{name}.manifest")
+
+    def run(root, out):
+        loaded = [load_dataset(root / f"{n}.manifest") for n in ("strong", "pool", "test")]
+        cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=2, train_cfg=FAST)
+        assert not run_pipeline(*loaded, cfg, root / out).incomplete
+
+    run(a, "run")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    run(b, "rerun")
+    for r in ("round_001", "round_002"):
+        original = (a / "run" / r / "pseudo.manifest").read_bytes()
+        assert (b / "run" / r / "pseudo.manifest").read_bytes() == original
+        assert (b / "rerun" / r / "pseudo.manifest").read_bytes() == original
+        copied = load_dataset(b / "run" / r / "pseudo.manifest")
+        assert all(Path(rec.image_path).is_relative_to(b) for rec in copied.records)
 
 
 def test_seed_flows_into_round_models(world, tmp_path):
@@ -272,7 +313,7 @@ def test_cross_domain_rejects_strong_pool(world, tmp_path):
     root, strong, weak_pool, strong_pool, test_ds = world
     cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=0, train_cfg=FAST)
     run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run")
-    with pytest.raises(TierMismatchError):
+    with pytest.raises(TierError):
         cross_domain_annotate(
             tmp_path / "run" / "round_000" / "model.bin",
             strong_pool,

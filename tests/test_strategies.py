@@ -14,7 +14,7 @@ from textboot.data import (
     read_pgm,
 )
 from textboot.detector import TrainConfig, train
-from textboot.errors import TierMismatchError
+from textboot.errors import TierError
 from textboot.geometry import AxisRect, BitMask, Detection, mask_iou, rasterize, rect_iou
 from textboot.strategies import (
     Provenance,
@@ -226,16 +226,6 @@ def test_local_one_annotation_per_box_bit_equal():
     assert anns[1].mask.count == 0  # kept even though empty
 
 
-def test_local_drop_empty_when_configured():
-    px = np.zeros((16, 16), dtype=bool)
-    px[2:6, 2:6] = True
-    model = OracleModel([BitMask(px)])
-    boxes = [AxisRect(2.0, 2.0, 6.0, 6.0), AxisRect(9.0, 9.0, 14.0, 13.0)]
-    cfg = StrategyConfig(keep_empty_local_masks=False)
-    anns = local_generate(model, np.zeros((16, 16), np.uint8), boxes, cfg)
-    assert len(anns) == 1 and anns[0].box == boxes[0]
-
-
 def test_local_with_oracle_model_reaches_perfect_overlap():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -329,26 +319,26 @@ def test_annotate_pool_tier_rules(weak_world):
         image_width=weak_pool.image_width,
         image_height=weak_pool.image_height,
     )
-    with pytest.raises(TierMismatchError):
-        annotate_pool(model, none_pool, Provenance.FILTER, image_root=root)
-    with pytest.raises(TierMismatchError):
-        annotate_pool(model, none_pool, Provenance.LOCAL, image_root=root)
+    with pytest.raises(TierError):
+        annotate_pool(model, none_pool, Provenance.FILTER)
+    with pytest.raises(TierError):
+        annotate_pool(model, none_pool, Provenance.LOCAL)
     # NAIVE accepts both NONE and WEAK
-    annotate_pool(model, none_pool, Provenance.NAIVE, image_root=root)
-    annotate_pool(model, weak_pool, Provenance.NAIVE, image_root=root)
+    annotate_pool(model, none_pool, Provenance.NAIVE)
+    annotate_pool(model, weak_pool, Provenance.NAIVE)
 
 
 def test_annotate_pool_rejects_strong_records(weak_world):
     root, ds, _, model = weak_world
     strong_pool = Dataset(records=ds.records[4:], image_width=64, image_height=64)
     for strat in Provenance:
-        with pytest.raises(TierMismatchError):
-            annotate_pool(model, strong_pool, strat, image_root=root)
+        with pytest.raises(TierError):
+            annotate_pool(model, strong_pool, strat)
 
 
 def test_annotate_pool_local_count_conservation(weak_world):
     root, _, weak_pool, model = weak_world
-    ps = annotate_pool(model, weak_pool, Provenance.LOCAL, image_root=root)
+    ps = annotate_pool(model, weak_pool, Provenance.LOCAL)
     assert ps.count == sum(len(r.rects) for r in weak_pool.records)
     assert [iid for iid, _ in ps.per_image] == sorted(r.image_id for r in weak_pool.records)
     for rec in weak_pool.records:
@@ -357,9 +347,9 @@ def test_annotate_pool_local_count_conservation(weak_world):
 
 def test_annotate_pool_deterministic_and_parallel_equal(weak_world):
     root, _, weak_pool, model = weak_world
-    a = annotate_pool(model, weak_pool, Provenance.FILTER, image_root=root)
-    b = annotate_pool(model, weak_pool, Provenance.FILTER, image_root=root)
-    c = annotate_pool(model, weak_pool, Provenance.FILTER, image_root=root, jobs=4)
+    a = annotate_pool(model, weak_pool, Provenance.FILTER)
+    b = annotate_pool(model, weak_pool, Provenance.FILTER)
+    c = annotate_pool(model, weak_pool, Provenance.FILTER, jobs=4)
     assert a == b == c
 
 
@@ -368,7 +358,7 @@ def test_annotate_pool_deterministic_and_parallel_equal(weak_world):
 
 def test_pseudo_to_dataset_round_trip(weak_world):
     root, ds, weak_pool, model = weak_world
-    ps = annotate_pool(model, weak_pool, Provenance.LOCAL, image_root=root)
+    ps = annotate_pool(model, weak_pool, Provenance.LOCAL)
     out = pseudo_to_dataset(weak_pool, ps)
     assert len(out.records) == len(weak_pool.records)
     for rec, src in zip(out.records, weak_pool.records):
@@ -392,7 +382,7 @@ def test_pseudo_to_dataset_round_trip(weak_world):
 
 def test_pseudo_to_dataset_scores_align(weak_world):
     root, _, weak_pool, model = weak_world
-    ps = annotate_pool(model, weak_pool, Provenance.NAIVE, image_root=root)
+    ps = annotate_pool(model, weak_pool, Provenance.NAIVE)
     out = pseudo_to_dataset(weak_pool, ps)
     for rec in out.records:
         if rec.scores is not None:
