@@ -25,6 +25,7 @@ from .data import (
     AnnotationRecord,
     AnnotationTier,
     Dataset,
+    Provenance,
     SceneSpec,
     generate_synthetic,
     load_dataset,
@@ -43,7 +44,7 @@ from .orchestrator import (
     cross_domain_annotate,
     run_pipeline,
 )
-from .strategies import Provenance, StrategyConfig
+from .strategies import StrategyConfig
 
 RUN_ROOT_ENV = "TEXTBOOT_RUN_ROOT"
 
@@ -152,11 +153,7 @@ def cmd_run(args) -> int:
                 "round": r.round_index,
                 "model": f"round_{r.round_index:03d}/model.bin",
                 "metrics": f"round_{r.round_index:03d}/metrics.txt",
-                "pseudo": (
-                    f"round_{r.round_index:03d}/pseudo.manifest"
-                    if r.pseudo_count or (r.round_index > 0 and cfg.strategy is not Strategy.FULLY)
-                    else None
-                ),
+                "pseudo": f"round_{r.round_index:03d}/pseudo.manifest" if r.round_index else None,
             }
             for r in result.reports
         ],

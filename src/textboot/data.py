@@ -8,11 +8,12 @@ Manifest grammar (UTF-8, line-delimited, tab-separated fields):
 The first non-blank line must be the header; later lines starting with
 ``#`` are comments.  ``TIER`` is ``STRONG``, ``WEAK`` or ``NONE``.  Each
 token is either ``key=value`` metadata (``provenance=<NAIVE|FILTER|LOCAL>``,
-``round=<int>``, ``scores=<s1,s2,...>``) or a geometry list of
+``round=<int >= 0>``, ``scores=<s1,s2,...>``) or a geometry list of
 comma-separated numbers: exactly 4 numbers form a rectangle
 ``x_min,y_min,x_max,y_max`` (WEAK records only), an even count of 6 or more
 forms a polygon ``x1,y1,x2,y2,...`` (STRONG records only).  ``scores``
-align one-to-one with the record's polygons.  Image paths are resolved
+align one-to-one with the record's polygons.  Ids and paths hold no TAB
+or line break, and ids do not start with ``#``.  Image paths are resolved
 relative to the manifest's directory and written back the same way, so a
 manifest's bytes do not depend on where its tree lives.
 
@@ -33,7 +34,13 @@ import numpy as np
 from .errors import EmptyDatasetError, ImageError, ManifestError, MissingImageError, TierError
 from .geometry import AxisRect, Polygon, rasterize
 
-PROVENANCE_NAMES = ("NAIVE", "FILTER", "LOCAL")
+
+class Provenance(enum.Enum):
+    """The strategy that produced a pseudo label."""
+
+    NAIVE = "NAIVE"
+    FILTER = "FILTER"
+    LOCAL = "LOCAL"
 
 
 class AnnotationTier(enum.Enum):
@@ -71,8 +78,10 @@ class AnnotationRecord:
                 raise ValueError(
                     f"{self.image_id}: {len(self.scores)} scores for {len(self.polygons)} polygons"
                 )
-        if self.provenance is not None and self.provenance not in PROVENANCE_NAMES:
+        if self.provenance is not None and self.provenance not in Provenance.__members__:
             raise ValueError(f"unknown provenance {self.provenance!r}")
+        if self.round_index is not None and self.round_index < 0:
+            raise ValueError(f"{self.image_id}: round must be >= 0, got {self.round_index}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,14 @@ def save_dataset(d: Dataset, manifest_path) -> None:
     base = path.resolve().parent
     lines = [f"#manifest width={d.image_width} height={d.image_height}"]
     for r in d.records:
-        fields = [r.image_id, os.path.relpath(Path(r.image_path).resolve(), base), r.tier.value]
+        rel = os.path.relpath(Path(r.image_path).resolve(), base)
+        if r.image_id.startswith("#") or any(
+            "\t" in f or f.splitlines() != [f] for f in (r.image_id, rel)
+        ):
+            raise ManifestError(
+                f"{path}: image id {r.image_id!r} or path {rel!r} is not one manifest field"
+            )
+        fields = [r.image_id, rel, r.tier.value]
         if r.provenance is not None:
             fields.append(f"provenance={r.provenance}")
         if r.round_index is not None:
@@ -137,7 +153,13 @@ def load_dataset(manifest_path, require_images: bool = True) -> Dataset:
     which is only for tooling that never opens the pixels).
     """
     path = Path(manifest_path)
-    text = path.read_text(encoding="utf-8")
+    raw_bytes = path.read_bytes()
+    try:
+        text = raw_bytes.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # The sentinel makes a prefix ending in a line break count the next line.
+        lineno = len((raw_bytes[: e.start].decode("utf-8") + "x").splitlines())
+        raise ManifestError(f"{path} is not UTF-8 text ({e.reason})", lineno) from None
     base = path.resolve().parent
 
     width = height = None
@@ -191,7 +213,7 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
                 except ValueError:
                     raise ManifestError(f"bad round value {value!r}", lineno) from None
             elif key == "scores":
-                scores = tuple(_parse_floats(value, lineno))
+                scores = tuple(_parse_floats(value, lineno)) if value else ()
             else:
                 raise ManifestError(f"unknown metadata key {key!r}", lineno)
             continue
@@ -285,7 +307,8 @@ def read_pgm(path) -> np.ndarray:
         j = i
         while j < len(data) and not data[j : j + 1].isspace():
             j += 1
-        if i == j or not data[i:j].isdigit():
+        # No real size has 19 digits; the cap also keeps int() within its limit.
+        if not data[i:j].isdigit() or j - i > 18:
             raise ImageError(f"{path}: truncated or malformed PGM header")
         tokens.append(int(data[i:j]))
         i = j

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data import AnnotationTier, Dataset, read_image, save_dataset
+from .data import AnnotationTier, Dataset, Provenance, read_image, save_dataset
 from .detector import DetectorModel, TrainConfig, TrainExample, load_model, save_model, train
 from .errors import (
     DimensionMismatchError,
@@ -33,13 +33,7 @@ from .errors import (
 )
 from .evaluation import EvalConfig, EvalReport, evaluate
 from .geometry import rasterize
-from .strategies import (
-    Provenance,
-    PseudoSet,
-    StrategyConfig,
-    annotate_pool,
-    pseudo_to_dataset,
-)
+from .strategies import PseudoSet, StrategyConfig, annotate_pool, pseudo_to_dataset
 
 
 class Strategy(enum.Enum):
@@ -178,13 +172,6 @@ def _write_run_metrics(run_dir: Path, reports, best: int) -> None:
     (run_dir / "f_vs_round.tsv").write_text("\n".join(tsv) + "\n", encoding="utf-8")
 
 
-_STRATEGY_TO_PROVENANCE = {
-    Strategy.NAIVE: Provenance.NAIVE,
-    Strategy.FILTER: Provenance.FILTER,
-    Strategy.LOCAL: Provenance.LOCAL,
-}
-
-
 def run_pipeline(
     strong: Dataset,
     pool: Dataset,
@@ -245,7 +232,7 @@ def run_pipeline(
                 pseudo = annotate_pool(
                     annotator,
                     pool,
-                    _STRATEGY_TO_PROVENANCE[cfg.strategy],
+                    Provenance[cfg.strategy.value],
                     cfg.strategy_cfg,
                     round_index=r,
                     jobs=jobs,

@@ -6,35 +6,30 @@ Three ways to turn detector output on pool images into training labels:
 * FILTER — additionally require the detection's box to overlap some
   weak (rectangle) annotation with IoU strictly above a threshold.
 * LOCAL  — skip detection entirely: for each weak rectangle, ask the
-  model for the pixels inside it (one annotation per rectangle, never
+  model for the pixels inside it (one label per rectangle, never
   rejected; an empty mask is kept and trains as negative evidence).  The
   model answers for all of an image's rectangles in one call.
 
-All selectors are pure: a fixed model and inputs give the same output.
-A PseudoSet converts back into a pixel-annotated dataset so retraining
-consumes original and pseudo annotations through one code path.
+A label is a :class:`~textboot.geometry.Detection`: NAIVE and FILTER keep
+the detections themselves, LOCAL labels carry no confidence and score
+1.0.  A :class:`PseudoSet` holds one strategy's labels for one round and
+records that strategy and round once.  All selectors are pure: a fixed
+model and inputs give the same output.  A PseudoSet converts back into a
+pixel-annotated dataset so retraining consumes original and pseudo
+annotations through one code path.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import AnnotationRecord, AnnotationTier, Dataset, read_image
+from .data import AnnotationRecord, AnnotationTier, Dataset, Provenance, read_image
 from .errors import TierError
-from .geometry import AxisRect, BitMask, Detection, mask_bbox, mask_to_polygon, rect_iou
-
-
-class Provenance(enum.Enum):
-    """Which strategy produced a pseudo annotation."""
-
-    NAIVE = "NAIVE"
-    FILTER = "FILTER"
-    LOCAL = "LOCAL"
+from .geometry import AxisRect, Detection, mask_to_polygon, rect_iou
 
 
 @dataclass(frozen=True)
@@ -53,115 +48,53 @@ class StrategyConfig:
 
 
 @dataclass(frozen=True)
-class PseudoAnnotation:
-    """One generated training instance: a box plus its pixel mask."""
+class PseudoSet:
+    """One strategy's labels for one round, grouped per pool image and
+    ordered by image id."""
 
-    box: AxisRect
-    mask: BitMask
     provenance: Provenance
     round_index: int
-    score: float | None = None
+    per_image: tuple[tuple[str, tuple[Detection, ...]], ...]
 
     def __post_init__(self) -> None:
         if self.round_index < 0:
             raise ValueError(f"round_index must be >= 0, got {self.round_index}")
-        if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
-        if self.mask.count > 0:
-            tight = mask_bbox(self.mask)
-            if (
-                tight.x_min < math.floor(self.box.x_min)
-                or tight.y_min < math.floor(self.box.y_min)
-                or tight.x_max > math.ceil(self.box.x_max)
-                or tight.y_max > math.ceil(self.box.y_max)
-            ):
-                raise ValueError("mask pixels extend outside the annotation box")
-
-
-@dataclass(frozen=True)
-class PseudoSet:
-    """Pseudo annotations grouped per pool image, ordered by image id."""
-
-    per_image: tuple[tuple[str, tuple[PseudoAnnotation, ...]], ...]
-
-    def __post_init__(self) -> None:
         ids = [image_id for image_id, _ in self.per_image]
         if ids != sorted(ids) or len(set(ids)) != len(ids):
             raise ValueError("per_image entries must be sorted by unique image id")
 
-    def for_image(self, image_id: str) -> tuple[PseudoAnnotation, ...]:
-        for iid, anns in self.per_image:
-            if iid == image_id:
-                return anns
-        raise KeyError(image_id)
-
     @property
     def count(self) -> int:
-        return sum(len(anns) for _, anns in self.per_image)
-
-    @property
-    def mean_score(self) -> float | None:
-        scores = [a.score for _, anns in self.per_image for a in anns if a.score is not None]
-        return float(np.mean(scores)) if scores else None
+        return sum(len(labels) for _, labels in self.per_image)
 
 
-def naive_select(
-    candidates: list[Detection], cfg: StrategyConfig, round_index: int = 0
-) -> list[PseudoAnnotation]:
+def naive_select(candidates: list[Detection], cfg: StrategyConfig) -> list[Detection]:
     """Keep candidates whose score is strictly above the threshold."""
-    return [
-        PseudoAnnotation(
-            box=d.box,
-            mask=d.mask,
-            provenance=Provenance.NAIVE,
-            round_index=round_index,
-            score=d.score,
-        )
-        for d in candidates
-        if d.score > cfg.score_threshold
-    ]
+    return [d for d in candidates if d.score > cfg.score_threshold]
 
 
 def filter_select(
-    candidates: list[Detection],
-    weak_boxes: list[AxisRect],
-    cfg: StrategyConfig,
-    round_index: int = 0,
-) -> list[PseudoAnnotation]:
+    candidates: list[Detection], weak_boxes: list[AxisRect], cfg: StrategyConfig
+) -> list[Detection]:
     """Keep candidates scoring above the (lower) threshold that also
     overlap some weak rectangle with box IoU strictly above the cutoff."""
-    out = []
-    for d in candidates:
-        if d.score <= cfg.filter_score_threshold:
-            continue
-        best = max((rect_iou(d.box, g) for g in weak_boxes), default=0.0)
-        if best > cfg.filter_iou_threshold:
-            out.append(
-                PseudoAnnotation(
-                    box=d.box,
-                    mask=d.mask,
-                    provenance=Provenance.FILTER,
-                    round_index=round_index,
-                    score=d.score,
-                )
-            )
-    return out
+    return [
+        d
+        for d in candidates
+        if d.score > cfg.filter_score_threshold
+        and max((rect_iou(d.box, g) for g in weak_boxes), default=0.0) > cfg.filter_iou_threshold
+    ]
 
 
-def local_generate(
-    model,
-    image: np.ndarray,
-    weak_boxes: list[AxisRect],
-    round_index: int = 0,
-) -> list[PseudoAnnotation]:
-    """One annotation per weak rectangle: the model's pixels inside it.
+def local_generate(model, image: np.ndarray, weak_boxes: list[AxisRect]) -> list[Detection]:
+    """One label per weak rectangle: the model's pixels inside it.
 
     No thresholding and no rejection; rectangles where the model finds
-    nothing still produce an empty-mask annotation, which trains as
-    negative evidence.
+    nothing still produce an empty-mask label, which trains as negative
+    evidence.  The labels carry no confidence; their score is 1.0.
     """
     return [
-        PseudoAnnotation(box=box, mask=mask, provenance=Provenance.LOCAL, round_index=round_index)
+        Detection(box=box, mask=mask, score=1.0)
         for box, mask in zip(weak_boxes, model.masks_for_boxes(image, weak_boxes))
     ]
 
@@ -183,7 +116,7 @@ def annotate_pool(
 ) -> PseudoSet:
     """Run one strategy over every pool image.
 
-    Every pool image appears in the result, with an empty annotation list
+    Every pool image appears in the result, with an empty label list
     where nothing was selected.  Images are read through
     :func:`~textboot.data.read_image`; ``jobs`` > 1 processes images
     concurrently without changing the output.
@@ -197,60 +130,53 @@ def annotate_pool(
                 f"{rec.image_id}: {strategy.value} strategy needs tier {names}, got {rec.tier.name}"
             )
 
-    def one(rec: AnnotationRecord) -> tuple[str, tuple[PseudoAnnotation, ...]]:
+    def one(rec: AnnotationRecord) -> tuple[str, tuple[Detection, ...]]:
         image = read_image(pool, rec)
         if strategy is Provenance.LOCAL:
-            anns = local_generate(model, image, list(rec.rects), round_index)
+            labels = local_generate(model, image, list(rec.rects))
         elif strategy is Provenance.FILTER:
-            anns = filter_select(model.detect(image), list(rec.rects), cfg, round_index)
+            labels = filter_select(model.detect(image), list(rec.rects), cfg)
         else:
-            anns = naive_select(model.detect(image), cfg, round_index)
-        return rec.image_id, tuple(anns)
+            labels = naive_select(model.detect(image), cfg)
+        return rec.image_id, tuple(labels)
 
     if jobs > 1 and len(pool.records) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool_exec:
             results = list(pool_exec.map(one, pool.records))
     else:
         results = [one(rec) for rec in pool.records]
-    return PseudoSet(per_image=tuple(sorted(results, key=lambda kv: kv[0])))
+    return PseudoSet(strategy, round_index, tuple(sorted(results, key=lambda kv: kv[0])))
 
 
 def pseudo_to_dataset(pool: Dataset, pseudo: PseudoSet) -> Dataset:
     """Serialize a PseudoSet as a pixel-annotated dataset.
 
-    Each mask becomes its component outlines; an annotation's score is
-    repeated per outline so score lists stay aligned with polygon lists.
-    Images with no annotations become empty pixel-tier records, keeping
-    the whole pool available to retraining as background.
+    Each mask becomes its component outlines.  Images with labels record
+    the set's strategy and round; NAIVE and FILTER images also record each
+    label's score, repeated per outline so score lists stay aligned with
+    polygon lists.  Images with no labels become empty pixel-tier records,
+    keeping the whole pool available to retraining as background.
     """
-    by_id = {iid: anns for iid, anns in pseudo.per_image}
+    by_id = dict(pseudo.per_image)
+    scored = pseudo.provenance is not Provenance.LOCAL
     records = []
     for rec in pool.records:
-        anns = by_id.get(rec.image_id, ())
+        labels = by_id.get(rec.image_id, ())
         polygons: list = []
         scores: list[float] = []
-        provenance: str | None = None
-        round_index: int | None = None
-        scored = False
-        for a in anns:
-            provenance = a.provenance.value
-            round_index = a.round_index
-            outlines = mask_to_polygon(a.mask)
+        for d in labels:
+            outlines = mask_to_polygon(d.mask)
             polygons.extend(outlines)
-            if a.score is not None:
-                scored = True
-                scores.extend([a.score] * len(outlines))
-            else:
-                scores.extend([1.0] * len(outlines))
+            scores.extend([d.score] * len(outlines))
         records.append(
             replace(
                 rec,
                 tier=AnnotationTier.STRONG,
                 polygons=tuple(polygons),
                 rects=(),
-                scores=tuple(scores) if scored else None,
-                provenance=provenance,
-                round_index=round_index,
+                scores=tuple(scores) if labels and scored else None,
+                provenance=pseudo.provenance.value if labels else None,
+                round_index=pseudo.round_index if labels else None,
             )
         )
     return Dataset(

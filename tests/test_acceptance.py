@@ -421,15 +421,7 @@ def test_cross_domain_weak_adaptation_improves(tmp_path):
 
     pseudo_path = tmp_path / "b_pseudo.manifest"
     cross_domain_annotate(best_report.model_path, b_pool, pseudo_path, jobs=4)
-    pseudo_ds = load_dataset(pseudo_path, require_images=False)
-    paths = {r.image_id: r.image_path for r in b_pool.records}
-    pseudo_ds = replace(
-        pseudo_ds,
-        records=tuple(
-            replace(r, image_path=paths[r.image_id]) for r in pseudo_ds.records
-        ),
-    )
-    examples = dataset_examples(pseudo_ds)
+    examples = dataset_examples(load_dataset(pseudo_path))
     tuned = train(
         model, examples, TrainConfig(epochs=12, seed=77, patch_radius=model.patch_radius)
     )

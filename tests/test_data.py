@@ -70,6 +70,7 @@ def test_read_pgm_errors_name_the_file(tmp_path):
         "header.pgm": b"P5\n2 x\n255\n0000",
         "short.pgm": b"P5\n2 2\n255\n000",
         "depth.pgm": b"P5\n2 2\n65535\n00000000",
+        "huge.pgm": b"P5\n" + b"9" * 5000 + b" 2\n255\n0000",
     }
     for name, blob in bad.items():
         (tmp_path / name).write_bytes(blob)
@@ -187,6 +188,27 @@ def test_manifest_errors(tmp_path):
     m.write_text(f"#manifest width=16 height=16\na\t{path}\tSTRONG\t0,0,1e400,0,4,4\n")
     with pytest.raises(ManifestError):
         load_dataset(m)
+
+
+def test_manifest_that_is_not_utf8_names_file_and_line(tmp_path):
+    make_image(tmp_path, "a.pgm")
+    m = tmp_path / "bad.manifest"
+    m.write_bytes(b"#manifest width=16 height=16\na\ta.pgm\tNONE\nb\tb\xff.pgm\tNONE\n")
+    with pytest.raises(ManifestError) as ei:
+        load_dataset(m)
+    assert ei.value.line == 3
+    assert str(m) in str(ei.value)
+
+
+def test_manifest_rejects_negative_round(tmp_path):
+    make_image(tmp_path, "a.pgm")
+    m = tmp_path / "bad.manifest"
+    m.write_text("#manifest width=16 height=16\n\na\ta.pgm\tSTRONG\tround=-1\n")
+    with pytest.raises(ManifestError) as ei:
+        load_dataset(m)
+    assert ei.value.line == 3
+    with pytest.raises(ValueError):
+        AnnotationRecord("a", "a.pgm", AnnotationTier.STRONG, round_index=-1)
 
 
 def test_split_counts_and_determinism(tmp_path):

@@ -1,0 +1,208 @@
+"""Property tests for the file formats: PGM images and dataset manifests.
+
+Every readable input either loads or raises the package's typed error,
+and every value the writers accept reads back unchanged.  Examples are
+derandomized, no example database is kept and Hypothesis's caches go to a
+temporary directory, so the suite is deterministic and leaves nothing in
+the working tree.
+"""
+
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from textboot.data import (
+    AnnotationRecord,
+    AnnotationTier,
+    Dataset,
+    Provenance,
+    load_dataset,
+    read_pgm,
+    save_dataset,
+    write_pgm,
+)
+from textboot.errors import ImageError, ManifestError, TextBootError
+from textboot.geometry import AxisRect, Polygon
+
+# Hypothesis caches what it learns about the code under test, during
+# collection already; keep that out of the working tree.  The directory is
+# removed when the interpreter exits.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+deterministic = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+HEADER = b"#manifest width=16 height=16\n"
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+def _read_pgm_bytes(work, blob: bytes) -> np.ndarray:
+    path = work / "x.pgm"
+    path.write_bytes(blob)
+    return read_pgm(path)
+
+
+# --- PGM -------------------------------------------------------------------------
+
+
+@deterministic
+@given(blob=st.binary(max_size=300))
+def test_read_pgm_arbitrary_bytes_loads_or_raises_image_error(work, blob):
+    try:
+        image = _read_pgm_bytes(work, blob)
+    except ImageError:
+        return
+    assert image.dtype == np.uint8 and image.ndim == 2
+
+
+_SEP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"  ", b"\n# note\n", b"#"])
+
+
+@deterministic
+@given(
+    width=st.integers(0, 12),
+    height=st.integers(0, 12),
+    maxval=st.sampled_from([b"255", b"0255", b"256", b"1", b"65535", b"x"]),
+    seps=st.tuples(_SEP, _SEP, _SEP, _SEP),
+    tail=st.binary(max_size=200),
+)
+def test_read_pgm_p5_header_with_random_tail(work, width, height, maxval, seps, tail):
+    head = b"P5" + seps[0] + str(width).encode() + seps[1] + str(height).encode()
+    blob = head + seps[2] + maxval + seps[3] + tail
+    try:
+        image = _read_pgm_bytes(work, blob)
+    except ImageError:
+        return
+    assert image.dtype == np.uint8 and image.shape == (height, width)
+
+
+@deterministic
+@given(pixels=arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=40)))
+def test_write_then_read_pgm_is_identity(work, pixels):
+    path = work / "round.pgm"
+    write_pgm(path, pixels)
+    back = read_pgm(path)
+    assert back.dtype == np.uint8 and np.array_equal(back, pixels)
+
+
+# --- manifests -------------------------------------------------------------------
+
+
+def _load_bytes(work, blob: bytes, require_images: bool):
+    path = work / "fuzz.manifest"
+    path.write_bytes(HEADER + blob)
+    return load_dataset(path, require_images=require_images)
+
+
+@deterministic
+@given(blob=st.binary(max_size=400), require_images=st.booleans())
+def test_load_dataset_arbitrary_bytes_loads_or_raises_typed_error(work, blob, require_images):
+    try:
+        ds = _load_bytes(work, blob, require_images)
+    except TextBootError:
+        return
+    assert isinstance(ds, Dataset)
+
+
+_TOKEN = st.one_of(
+    st.sampled_from([
+        "a", "b", "STRONG", "WEAK", "NONE", "#c", "", " ",
+        "provenance=LOCAL", "provenance=naive", "round=2", "round=-1", "round=x",
+        "scores=", "scores=0.5", "scores=0.5,0.25", "bogus=1",
+        "0,0,4,4", "4,4,0,0", "0,0,4,0,4,4", "0,0,4,4,4,0,0,4", "0,0,0,0,0,0",
+        "1e400,0,1,1", "nan,0,1,1", "0,0,4", "1,,2,3", "0x1,2,3,4",
+    ]),
+    st.text(max_size=6),
+)
+
+
+@deterministic
+@given(
+    lines=st.lists(st.lists(_TOKEN, max_size=6).map("\t".join), max_size=6),
+    noise=st.binary(max_size=4),
+    require_images=st.booleans(),
+)
+def test_load_dataset_near_valid_records_load_or_raise_typed_error(
+    work, lines, noise, require_images
+):
+    try:
+        ds = _load_bytes(work, "\n".join(lines).encode("utf-8") + noise, require_images)
+    except TextBootError:
+        return
+    assert isinstance(ds, Dataset)
+
+
+_COORD = st.floats(-1e3, 1e3, allow_nan=False)
+_SIDE = st.floats(0.5, 100.0)
+
+
+@st.composite
+def _rects(draw):
+    x, y = draw(_COORD), draw(_COORD)
+    return AxisRect(x, y, x + draw(_SIDE), y + draw(_SIDE))
+
+
+@st.composite
+def _polygons(draw):
+    r = draw(_rects())
+    corners = [(r.x_min, r.y_min), (r.x_max, r.y_min), (r.x_max, r.y_max), (r.x_min, r.y_max)]
+    if draw(st.booleans()):
+        corners = corners[:3]
+    return Polygon.from_pairs(corners)
+
+
+@st.composite
+def _records(draw, directory, image_id):
+    tier = draw(st.sampled_from(list(AnnotationTier)))
+    polygons, rects, scores = (), (), None
+    if tier is AnnotationTier.STRONG:
+        polygons = tuple(draw(st.lists(_polygons(), max_size=3)))
+        n = len(polygons)
+        scores = draw(st.none() | st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(tuple))
+    elif tier is AnnotationTier.WEAK:
+        rects = tuple(draw(st.lists(_rects(), max_size=3)))
+    return AnnotationRecord(
+        image_id=image_id,
+        image_path=str(directory / draw(st.sampled_from(["a.pgm", "sub/b.pgm", "c d.pgm"]))),
+        tier=tier,
+        polygons=polygons,
+        rects=rects,
+        scores=scores,
+        provenance=draw(st.none() | st.sampled_from([p.value for p in Provenance])),
+        round_index=draw(st.none() | st.integers(0, 10**6)),
+    )
+
+
+# A manifest field holds no tab or line break, and an id starting with '#'
+# would read as a comment; save_dataset rejects those (tested below).
+_ID = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8).filter(
+    lambda s: "\t" not in s and s.splitlines() == [s] and not s.startswith("#")
+)
+
+
+@deterministic
+@given(data=st.data())
+def test_save_then_load_dataset_is_identity(work, data):
+    directory = work.resolve() / "images"
+    ids = data.draw(st.lists(_ID, max_size=5, unique=True))
+    records = tuple(data.draw(_records(directory, image_id)) for image_id in ids)
+    ds = Dataset(records, data.draw(st.integers(1, 500)), data.draw(st.integers(1, 500)))
+    path = work / "round.manifest"
+    save_dataset(ds, path)
+    assert load_dataset(path, require_images=False) == ds
+
+
+@pytest.mark.parametrize("image_id", ["#a", "a\tb", "a\nb", "a\rb", "a\x85b", "a\u2028b"])
+def test_save_dataset_rejects_an_id_that_is_not_one_field(tmp_path, image_id):
+    ds = Dataset((AnnotationRecord(image_id, str(tmp_path / "a.pgm"), AnnotationTier.NONE),), 8, 8)
+    with pytest.raises(ManifestError, match="image id"):
+        save_dataset(ds, tmp_path / "out.manifest")

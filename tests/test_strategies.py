@@ -18,7 +18,6 @@ from textboot.errors import TierError
 from textboot.geometry import AxisRect, BitMask, Detection, mask_iou, rasterize, rect_iou
 from textboot.strategies import (
     Provenance,
-    PseudoAnnotation,
     PseudoSet,
     StrategyConfig,
     annotate_pool,
@@ -102,10 +101,7 @@ def test_naive_keeps_only_above_threshold():
     ]
     kept = naive_select(dets, StrategyConfig(score_threshold=0.5))
     assert len(kept) == 1
-    assert kept[0].box == dets[0].box
-    assert kept[0].mask == dets[0].mask
-    assert kept[0].provenance is Provenance.NAIVE
-    assert kept[0].score == 0.6
+    assert kept[0] is dets[0]
 
 
 def test_naive_boundary_is_strict():
@@ -155,8 +151,7 @@ def test_filter_keeps_joint_pass():
     g = AxisRect(2.0, 2.0, 11.0, 10.0)
     assert rect_iou(d.box, g) > 0.3
     kept = filter_select([d], [g], StrategyConfig())
-    assert len(kept) == 1
-    assert kept[0].provenance is Provenance.FILTER
+    assert kept == [d]
 
 
 def test_filter_boundaries_are_strict():
@@ -221,8 +216,7 @@ def test_local_one_annotation_per_box_bit_equal():
     anns = local_generate(model, np.zeros((16, 16), np.uint8), boxes)
     assert len(anns) == len(boxes)
     assert [a.box for a in anns] == boxes
-    assert all(a.provenance is Provenance.LOCAL for a in anns)
-    assert all(a.score is None for a in anns)
+    assert all(a.score == 1.0 for a in anns)
     assert anns[1].mask.count == 0  # kept even though empty
 
 
@@ -254,37 +248,24 @@ def test_strategies_are_pure():
     assert filter_select(dets, boxes, cfg) == filter_select(dets, boxes, cfg)
 
 
-def test_pseudo_annotation_rejects_mask_outside_box():
-    px = np.zeros((16, 16), dtype=bool)
-    px[0:8, 0:8] = True
-    with pytest.raises(ValueError):
-        PseudoAnnotation(
-            box=AxisRect(4.0, 4.0, 6.0, 6.0),
-            mask=BitMask(px),
-            provenance=Provenance.NAIVE,
-            round_index=0,
-        )
-
-
 def test_pseudo_set_requires_sorted_unique_ids():
     with pytest.raises(ValueError):
-        PseudoSet(per_image=(("b", ()), ("a", ())))
+        PseudoSet(Provenance.NAIVE, 0, per_image=(("b", ()), ("a", ())))
     with pytest.raises(ValueError):
-        PseudoSet(per_image=(("a", ()), ("a", ())))
-    ps = PseudoSet(per_image=(("a", ()), ("b", ())))
-    assert ps.count == 0 and ps.mean_score is None
+        PseudoSet(Provenance.NAIVE, 0, per_image=(("a", ()), ("a", ())))
+    with pytest.raises(ValueError):
+        PseudoSet(Provenance.NAIVE, -1, per_image=())
+    ps = PseudoSet(Provenance.NAIVE, 0, per_image=(("a", ()), ("b", ())))
+    assert ps.count == 0
 
 
 def test_pseudo_set_stats():
     d1 = _rect_detection(16, 16, 1, 1, 5, 5, 0.8)
     d2 = _rect_detection(16, 16, 8, 8, 12, 12, 0.6)
     anns = naive_select([d1, d2], StrategyConfig(score_threshold=0.1))
-    ps = PseudoSet(per_image=(("img", tuple(anns)),))
+    ps = PseudoSet(Provenance.NAIVE, 2, per_image=(("img", tuple(anns)),))
     assert ps.count == 2
-    assert ps.mean_score == pytest.approx(0.7)
-    assert ps.for_image("img") == tuple(anns)
-    with pytest.raises(KeyError):
-        ps.for_image("other")
+    assert dict(ps.per_image)["img"] == (d1, d2)
 
 
 # --- annotate_pool -------------------------------------------------------------
@@ -341,8 +322,9 @@ def test_annotate_pool_local_count_conservation(weak_world):
     ps = annotate_pool(model, weak_pool, Provenance.LOCAL)
     assert ps.count == sum(len(r.rects) for r in weak_pool.records)
     assert [iid for iid, _ in ps.per_image] == sorted(r.image_id for r in weak_pool.records)
+    labels = dict(ps.per_image)
     for rec in weak_pool.records:
-        assert [a.box for a in ps.for_image(rec.image_id)] == list(rec.rects)
+        assert [a.box for a in labels[rec.image_id]] == list(rec.rects)
 
 
 def test_annotate_pool_deterministic_and_parallel_equal(weak_world):
@@ -359,13 +341,15 @@ def test_annotate_pool_deterministic_and_parallel_equal(weak_world):
 def test_pseudo_to_dataset_round_trip(weak_world):
     root, ds, weak_pool, model = weak_world
     ps = annotate_pool(model, weak_pool, Provenance.LOCAL)
+    assert ps.provenance is Provenance.LOCAL and ps.round_index == 0
     out = pseudo_to_dataset(weak_pool, ps)
+    labels = dict(ps.per_image)
     assert len(out.records) == len(weak_pool.records)
     for rec, src in zip(out.records, weak_pool.records):
         assert rec.tier is AnnotationTier.STRONG
         assert rec.image_id == src.image_id
-        assert rec.rects == ()
-        anns = ps.for_image(rec.image_id)
+        assert rec.rects == () and rec.scores is None
+        anns = labels[rec.image_id]
         if any(a.mask.count for a in anns):
             assert rec.provenance == "LOCAL"
             assert rec.round_index == 0
@@ -393,7 +377,7 @@ def test_pseudo_to_dataset_scores_align(weak_world):
 def test_pseudo_to_dataset_empty_set_keeps_pool_as_negatives(weak_world):
     _, _, weak_pool, _ = weak_world
     empty = PseudoSet(
-        per_image=tuple(sorted((r.image_id, ()) for r in weak_pool.records))
+        Provenance.NAIVE, 1, per_image=tuple(sorted((r.image_id, ()) for r in weak_pool.records))
     )
     out = pseudo_to_dataset(weak_pool, empty)
     assert len(out.records) == len(weak_pool.records)
