@@ -29,21 +29,16 @@ from .data import (
     SceneSpec,
     generate_synthetic,
     load_dataset,
+    record_masks,
+    require_tier,
     save_dataset,
     split_dataset,
 )
 from .detector import TrainConfig
 from .errors import TextBootError
-from .evaluation import EvalConfig, MatchOn, evaluate
-from .geometry import Detection, Polygon, mask_bbox, rasterize
-from .orchestrator import (
-    AnnotateWith,
-    PipelineConfig,
-    RetrainOrigin,
-    Strategy,
-    cross_domain_annotate,
-    run_pipeline,
-)
+from .evaluation import EvalConfig, evaluate
+from .geometry import Detection, Polygon, mask_bbox
+from .orchestrator import PipelineConfig, Strategy, cross_domain_annotate, run_pipeline
 from .strategies import StrategyConfig
 
 RUN_ROOT_ENV = "TEXTBOOT_RUN_ROOT"
@@ -59,6 +54,11 @@ def _resolve_run_dir(out: str) -> Path:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _choices(enum_type) -> list[str]:
+    """The lower-case member names of an enum, as command-line choices."""
+    return [member.name.lower() for member in enum_type]
 
 
 def _strategy_cfg(args) -> StrategyConfig:
@@ -97,7 +97,8 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     ds = load_dataset(Path(args.manifest))
-    downgrade = None if args.downgrade == "strong" else AnnotationTier[args.downgrade.upper()]
+    tier = AnnotationTier[args.downgrade.upper()]
+    downgrade = None if tier is AnnotationTier.STRONG else tier
     strong, rest = split_dataset(ds, args.strong_fraction, args.seed, downgrade=downgrade)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -123,11 +124,9 @@ def cmd_run(args) -> int:
             epochs=args.epochs,
             learning_rate=args.learning_rate,
             batch_size=args.batch_size,
+            seed=args.seed,
         ),
         eval_cfg=EvalConfig(iou_threshold=args.eval_iou),
-        retrain_origin=RetrainOrigin[args.retrain_origin.upper()],
-        annotate_with=AnnotateWith[args.annotate_with.upper()],
-        seed=args.seed,
     )
     run_dir = _resolve_run_dir(args.out)
     result = run_pipeline(strong, pool, test, cfg, run_dir, jobs=args.jobs)
@@ -141,8 +140,6 @@ def cmd_run(args) -> int:
             "strategy_cfg": asdict(cfg.strategy_cfg),
             "train_cfg": asdict(cfg.train_cfg),
             "eval_iou": cfg.eval_cfg.iou_threshold,
-            "retrain_origin": cfg.retrain_origin.value,
-            "annotate_with": cfg.annotate_with.value,
         },
         "inputs": {
             name: {"path": str(Path(p)), "sha256": _sha256(Path(p))}
@@ -187,11 +184,11 @@ def cmd_run(args) -> int:
 
 
 def _manifest_detections(ds: Dataset) -> dict[str, list[Detection]]:
+    require_tier(ds, (AnnotationTier.STRONG,), "a detection manifest")
     out: dict[str, list[Detection]] = {}
     for rec in ds.records:
         dets = []
-        for i, poly in enumerate(rec.polygons):
-            mask = rasterize(poly, ds.image_width, ds.image_height)
+        for i, (poly, mask) in enumerate(zip(rec.polygons, record_masks(ds, rec))):
             box = mask_bbox(mask) if mask.count else poly.bounding_box()
             score = rec.scores[i] if rec.scores is not None else 1.0
             dets.append(Detection(box=box, mask=mask, score=score))
@@ -202,8 +199,7 @@ def _manifest_detections(ds: Dataset) -> dict[str, list[Detection]]:
 def cmd_eval(args) -> int:
     truth = load_dataset(Path(args.gt), require_images=False)
     det_ds = load_dataset(Path(args.det), require_images=False)
-    cfg = EvalConfig(iou_threshold=args.iou, match_on=MatchOn[args.match_on.upper()])
-    report = evaluate(_manifest_detections(det_ds), truth, cfg)
+    report = evaluate(_manifest_detections(det_ds), truth, EvalConfig(iou_threshold=args.iou))
     if args.report:
         Path(args.report).write_text(report.to_text(), encoding="utf-8")
     print(f"P={report.precision:.3f} R={report.recall:.3f} F={report.f_measure:.3f}")
@@ -254,13 +250,11 @@ def cmd_convert(args) -> int:
                     continue
                 try:
                     nums = [float(tok) for tok in line.replace(";", ",").split(",") if tok.strip()]
+                    if len(nums) < 6 or len(nums) % 2:
+                        raise ValueError("need an even count of >= 6 coordinates")
+                    polys.append(Polygon.from_pairs(zip(nums[0::2], nums[1::2])))
                 except ValueError as exc:
-                    raise TextBootError(f"{dump}:{line_no}: bad coordinate: {exc}") from None
-                if len(nums) < 6 or len(nums) % 2:
-                    raise TextBootError(
-                        f"{dump}:{line_no}: need an even count of >= 6 coordinates"
-                    )
-                polys.append(Polygon.from_pairs(zip(nums[0::2], nums[1::2])))
+                    raise TextBootError(f"{dump}:{line_no}: bad polygon: {exc}") from None
         records.append(
             AnnotationRecord(
                 image_id=img.stem,
@@ -301,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scene = SceneSpec(n_images=1)
     pipeline = PipelineConfig(strategy=Strategy.LOCAL)
-    evaluation = EvalConfig()
+    training, evaluation = TrainConfig(), EvalConfig()
     p = sub.add_parser("synth", help="generate a synthetic annotated dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n-images", type=int, required=True)
@@ -320,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--out", required=True)
     p.add_argument("--strong-fraction", type=float, required=True)
-    p.add_argument("--downgrade", choices=("weak", "none", "strong"), default="weak",
+    p.add_argument("--downgrade", choices=_choices(AnnotationTier), default="weak",
                    help="tier for the rest split (strong keeps pixel annotations)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_split)
@@ -330,17 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True, help="weak/unlabeled pool manifest")
     p.add_argument("--test", required=True, help="pixel-annotated test manifest")
     p.add_argument("--out", required=True, help="run directory (see TEXTBOOT_RUN_ROOT)")
-    p.add_argument("--strategy", choices=("naive", "filter", "local", "fully"), required=True)
+    p.add_argument("--strategy", choices=_choices(Strategy), required=True)
     p.add_argument("--rounds", type=int, default=pipeline.rounds)
-    p.add_argument("--seed", type=int, default=pipeline.seed)
-    p.add_argument("--epochs", type=int, default=TrainConfig().epochs)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig().learning_rate)
-    p.add_argument("--batch-size", type=int, default=TrainConfig().batch_size)
+    p.add_argument("--seed", type=int, default=training.seed,
+                   help="training seed of round 0; round r trains with seed + r")
+    p.add_argument("--epochs", type=int, default=training.epochs)
+    p.add_argument("--learning-rate", type=float, default=training.learning_rate)
+    p.add_argument("--batch-size", type=int, default=training.batch_size)
     p.add_argument("--eval-iou", type=float, default=evaluation.iou_threshold)
-    p.add_argument("--retrain-origin", choices=("from_baseline", "from_previous"),
-                   default=pipeline.retrain_origin.value.lower())
-    p.add_argument("--annotate-with", choices=("latest", "best"),
-                   default=pipeline.annotate_with.value.lower())
     p.add_argument("--jobs", type=int, default=1)
     _add_strategy_flags(p)
     p.set_defaults(func=cmd_run)
@@ -349,15 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", required=True, help="detections as a pixel-tier manifest")
     p.add_argument("--gt", required=True, help="ground-truth pixel-tier manifest")
     p.add_argument("--iou", type=float, default=evaluation.iou_threshold)
-    p.add_argument("--match-on", choices=("mask", "box"),
-                   default=evaluation.match_on.value.lower())
     p.add_argument("--report", help="also write the full key=value report here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("annotate", help="pseudo-annotate a pool with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--pool", required=True)
-    p.add_argument("--strategy", choices=("naive", "filter", "local"), required=True)
+    p.add_argument("--strategy", choices=_choices(Provenance), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--round-index", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)

@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ImageError, ManifestError, MissingImageError, TierError
-from .geometry import AxisRect, Polygon, rasterize
+from .errors import EmptyDatasetError, ImageError, ManifestError, TextBootError, TierError
+from .geometry import AxisRect, BitMask, Polygon, rasterize
 
 
 class Provenance(enum.Enum):
@@ -104,8 +104,19 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def by_id(self) -> dict[str, AnnotationRecord]:
-        return {r.image_id: r for r in self.records}
+
+def require_tier(d: Dataset, tiers: tuple[AnnotationTier, ...], use: str) -> None:
+    """Raise TierError, naming the image, for the first record of ``d``
+    whose tier is not one of ``tiers``; ``use`` says what needs them."""
+    for r in d.records:
+        if r.tier not in tiers:
+            names = " or ".join(t.name for t in tiers)
+            raise TierError(f"{r.image_id}: {use} needs tier {names}, got {r.tier.name}")
+
+
+def record_masks(d: Dataset, r: AnnotationRecord) -> tuple[BitMask, ...]:
+    """The pixels of each of ``r``'s polygons, in ``d``'s image frame."""
+    return tuple(rasterize(p, d.image_width, d.image_height) for p in r.polygons)
 
 
 _HEADER_RE = re.compile(r"^#manifest\s+width=(\d+)\s+height=(\d+)\s*$")
@@ -148,19 +159,27 @@ def load_dataset(manifest_path, require_images: bool = True) -> Dataset:
     """Parse a manifest into a validated Dataset.
 
     Raises ManifestError with the offending line number on malformed input,
-    TierError on tier/geometry conflicts, and MissingImageError
-    when a referenced image file is absent (unless require_images=False,
-    which is only for tooling that never opens the pixels).
+    TierError on tier/geometry conflicts, and ImageError when a referenced
+    image file is absent (unless require_images=False, which is only for
+    tooling that never opens the pixels).  Each message starts with the
+    manifest's path.
     """
     path = Path(manifest_path)
     raw_bytes = path.read_bytes()
+    try:
+        return _parse_manifest(raw_bytes, path.resolve().parent, require_images)
+    except TextBootError as e:
+        e.args = (f"{path}: {e}",)  # keeps the error's type and line number
+        raise
+
+
+def _parse_manifest(raw_bytes: bytes, base: Path, require_images: bool) -> Dataset:
     try:
         text = raw_bytes.decode("utf-8")
     except UnicodeDecodeError as e:
         # The sentinel makes a prefix ending in a line break count the next line.
         lineno = len((raw_bytes[: e.start].decode("utf-8") + "x").splitlines())
-        raise ManifestError(f"{path} is not UTF-8 text ({e.reason})", lineno) from None
-    base = path.resolve().parent
+        raise ManifestError(f"not UTF-8 text ({e.reason})", lineno) from None
 
     width = height = None
     records: list[AnnotationRecord] = []
@@ -241,7 +260,7 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
 
     resolved = Path(os.path.normpath(base / rel_path))
     if require_images and not resolved.is_file():
-        raise MissingImageError(f"line {lineno}: image file not found: {resolved}")
+        raise ImageError(f"line {lineno}: image file not found: {resolved}")
 
     try:
         return AnnotationRecord(

@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.score_threshold_for_proposals < 1.0:
             raise ValueError("score_threshold_for_proposals must lie in (0, 1)")
         if self.min_component_pixels < 1:

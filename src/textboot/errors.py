@@ -27,13 +27,9 @@ class ManifestError(TextBootError):
         super().__init__(message)
 
 
-class MissingImageError(TextBootError):
-    """A manifest references an image file that does not exist."""
-
-
 class ImageError(TextBootError):
-    """An image file is not a readable 8-bit PGM, or its size disagrees
-    with its dataset.  The message names the file."""
+    """An image file is missing, is not a readable 8-bit PGM, or its size
+    disagrees with its dataset.  The message names the file."""
 
 
 class TierError(TextBootError):

@@ -3,36 +3,32 @@
 Matching is the standard benchmark protocol: per image, detections are
 taken in descending score order and greedily claim the unmatched ground
 truth of highest IoU; the claim stands only when that IoU reaches the
-threshold.  Detections that claim nothing are false positives, leftover
-truths are false negatives, and images aggregate by summing counts
-before dividing (micro-averaging).  A brute-force assignment maximizer
-is provided purely as a test oracle to bound the greedy matcher.
+threshold.  IoU is the overlap of a detection's mask with a truth
+polygon's pixels, because curved-text benchmarks (CTW1500, Total-Text)
+score polygons, not boxes.  Detections that claim nothing are false
+positives, leftover truths are false negatives, and images aggregate by
+summing counts before dividing (micro-averaging).  A brute-force
+assignment maximizer is provided purely as a test oracle to bound the
+greedy matcher.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AnnotationTier, Dataset
-from .errors import DimensionMismatchError, TierError, TooManyInstancesError
-from .geometry import Detection, mask_iou, rasterize, rect_iou
+from .data import AnnotationTier, Dataset, record_masks, require_tier
+from .errors import DimensionMismatchError, TooManyInstancesError
+from .geometry import Detection, mask_iou
 
 BRUTE_FORCE_CAP = 8
-
-
-class MatchOn(enum.Enum):
-    MASK = "MASK"
-    BOX = "BOX"
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     iou_threshold: float = 0.5
-    match_on: MatchOn = MatchOn.MASK
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.iou_threshold) and 0.0 < self.iou_threshold < 1.0):
@@ -131,11 +127,7 @@ def evaluate(
 ) -> EvalReport:
     """Score per-image detections against a pixel-annotated dataset."""
     cfg = cfg or EvalConfig()
-    for rec in truth.records:
-        if rec.tier is not AnnotationTier.STRONG:
-            raise TierError(
-                f"{rec.image_id}: evaluation needs pixel annotations, got {rec.tier.name}"
-            )
+    require_tier(truth, (AnnotationTier.STRONG,), "evaluation")
     known = {rec.image_id for rec in truth.records}
     unknown = sorted(set(detections) - known)
     if unknown:
@@ -152,16 +144,10 @@ def evaluate(
                     f"{rec.image_id}: detection mask shape {d.mask.pixels.shape} does not "
                     f"match image dims {(h, w)}"
                 )
-        if cfg.match_on is MatchOn.MASK:
-            truths = [rasterize(p, w, h) for p in rec.polygons]
-            iou = np.array(
-                [[mask_iou(d.mask, t) for t in truths] for d in dets], dtype=float
-            ).reshape(len(dets), len(truths))
-        else:
-            boxes = [p.bounding_box() for p in rec.polygons]
-            iou = np.array(
-                [[rect_iou(d.box, g) for g in boxes] for d in dets], dtype=float
-            ).reshape(len(dets), len(boxes))
+        truths = record_masks(truth, rec)
+        iou = np.array(
+            [[mask_iou(d.mask, t) for t in truths] for d in dets], dtype=float
+        ).reshape(len(dets), len(truths))
         tp, fp, fn = greedy_match(iou, cfg.iou_threshold)
         per_image.append(ImageCounts(rec.image_id, tp, fp, fn))
         total_tp += tp

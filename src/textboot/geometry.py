@@ -68,9 +68,6 @@ class AxisRect:
     def area(self) -> float:
         return self.width * self.height
 
-    def translated(self, dx: float, dy: float) -> "AxisRect":
-        return AxisRect(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
-
 
 class Polygon:
     """Polygon with at least three vertices and no self-crossing edges.

@@ -1,12 +1,14 @@
 """Bootstrap loop: baseline, annotate the pool, retrain, evaluate, repeat.
 
 Round 0 trains only on the small pixel-annotated set.  Each later round
-re-annotates the whole pool with the current model (earlier pseudo labels
-are superseded, not accumulated), retrains on the pixel-annotated set
-plus the fresh pseudo labels, and scores the result on a held-out test
-split.  The best round is the one with the highest F-measure, earliest
-on ties.  FULLY is the upper-bound setting: one model trained as if the
-entire pool had pixel annotations; it performs no pseudo-labeling.
+re-annotates the whole pool with the latest model (earlier pseudo labels
+are superseded, not accumulated), retrains from the round-0 baseline on
+the pixel-annotated set plus the fresh pseudo labels, and scores the
+result on a held-out test split.  Round r trains with seed
+``train_cfg.seed + r``.  The best round is the one with the highest
+F-measure, earliest on ties.  FULLY is the upper-bound setting: one
+model trained as if the entire pool had pixel annotations; it performs
+no pseudo-labeling.
 
 Every run writes a self-describing directory: per-round model files,
 pseudo-label manifests and metrics, plus run-level metrics and an
@@ -22,35 +24,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .data import AnnotationTier, Dataset, Provenance, read_image, save_dataset
-from .detector import DetectorModel, TrainConfig, TrainExample, load_model, save_model, train
-from .errors import (
-    DimensionMismatchError,
-    DisjointnessError,
-    EmptyDatasetError,
-    TextBootError,
-    TierError,
+from .data import (
+    AnnotationTier, Dataset, Provenance, read_image, record_masks, require_tier, save_dataset
 )
+from .detector import DetectorModel, TrainConfig, TrainExample, load_model, save_model, train
+from .errors import DimensionMismatchError, DisjointnessError, EmptyDatasetError, TextBootError
 from .evaluation import EvalConfig, EvalReport, evaluate
-from .geometry import rasterize
 from .strategies import PseudoSet, StrategyConfig, annotate_pool, pseudo_to_dataset
 
-
-class Strategy(enum.Enum):
-    NAIVE = "NAIVE"
-    FILTER = "FILTER"
-    LOCAL = "LOCAL"
-    FULLY = "FULLY"
-
-
-class RetrainOrigin(enum.Enum):
-    FROM_BASELINE = "FROM_BASELINE"
-    FROM_PREVIOUS = "FROM_PREVIOUS"
-
-
-class AnnotateWith(enum.Enum):
-    LATEST = "LATEST"
-    BEST = "BEST"
+# The pseudo-labelling strategies plus FULLY, the upper-bound setting.
+Strategy = enum.Enum(
+    "Strategy", [(p.name, p.value) for p in Provenance] + [("FULLY", "FULLY")], module=__name__
+)
 
 
 @dataclass(frozen=True)
@@ -60,15 +45,10 @@ class PipelineConfig:
     strategy_cfg: StrategyConfig = StrategyConfig()
     train_cfg: TrainConfig = TrainConfig()
     eval_cfg: EvalConfig = EvalConfig()
-    retrain_origin: RetrainOrigin = RetrainOrigin.FROM_BASELINE
-    annotate_with: AnnotateWith = AnnotateWith.LATEST
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -99,17 +79,11 @@ def best_round_index(reports) -> int:
 
 def dataset_examples(dataset: Dataset) -> list[TrainExample]:
     """Load a pixel-annotated dataset into trainable examples."""
-    out = []
-    for rec in dataset.records:
-        if rec.tier is not AnnotationTier.STRONG:
-            raise TierError(
-                f"{rec.image_id}: training needs pixel annotations, got {rec.tier.name}"
-            )
-        masks = tuple(
-            rasterize(p, dataset.image_width, dataset.image_height) for p in rec.polygons
-        )
-        out.append(TrainExample(image=read_image(dataset, rec), masks=masks))
-    return out
+    require_tier(dataset, (AnnotationTier.STRONG,), "training")
+    return [
+        TrainExample(image=read_image(dataset, rec), masks=record_masks(dataset, rec))
+        for rec in dataset.records
+    ]
 
 
 def _check_disjoint(strong: Dataset, pool: Dataset, test: Dataset) -> None:
@@ -203,12 +177,7 @@ def run_pipeline(
         strong_examples = dataset_examples(strong)
 
         if cfg.strategy is Strategy.FULLY:
-            for rec in pool.records:
-                if rec.tier is not AnnotationTier.STRONG:
-                    raise TierError(
-                        f"{rec.image_id}: the upper-bound setting needs a pixel-annotated "
-                        f"pool, got {rec.tier.name}"
-                    )
+            require_tier(pool, (AnnotationTier.STRONG,), "the upper-bound setting")
             rounds_plan = [0]
         else:
             rounds_plan = list(range(cfg.rounds + 1))
@@ -225,12 +194,8 @@ def run_pipeline(
                 examples = strong_examples
                 base = None
             else:
-                if cfg.annotate_with is AnnotateWith.LATEST:
-                    annotator = models[-1]
-                else:
-                    annotator = models[best_round_index(reports)]
                 pseudo = annotate_pool(
-                    annotator,
+                    models[-1],
                     pool,
                     Provenance[cfg.strategy.value],
                     cfg.strategy_cfg,
@@ -241,9 +206,9 @@ def run_pipeline(
                 save_dataset(pseudo_ds, rdir / "pseudo.manifest")
                 pseudo_count = pseudo.count
                 examples = strong_examples + dataset_examples(pseudo_ds)
-                base = models[0] if cfg.retrain_origin is RetrainOrigin.FROM_BASELINE else models[-1]
+                base = models[0]
 
-            train_cfg = replace(cfg.train_cfg, seed=cfg.seed + r)
+            train_cfg = replace(cfg.train_cfg, seed=cfg.train_cfg.seed + r)
             model = train(base, examples, train_cfg)
             model_path = rdir / "model.bin"
             save_model(model, model_path)

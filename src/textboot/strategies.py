@@ -27,8 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import AnnotationRecord, AnnotationTier, Dataset, Provenance, read_image
-from .errors import TierError
+from .data import AnnotationRecord, AnnotationTier, Dataset, Provenance, read_image, require_tier
 from .geometry import AxisRect, Detection, mask_to_polygon, rect_iou
 
 
@@ -122,13 +121,7 @@ def annotate_pool(
     concurrently without changing the output.
     """
     cfg = cfg or StrategyConfig()
-    allowed = _ALLOWED_TIERS[strategy]
-    for rec in pool.records:
-        if rec.tier not in allowed:
-            names = " or ".join(t.name for t in allowed)
-            raise TierError(
-                f"{rec.image_id}: {strategy.value} strategy needs tier {names}, got {rec.tier.name}"
-            )
+    require_tier(pool, _ALLOWED_TIERS[strategy], f"{strategy.value} strategy")
 
     def one(rec: AnnotationRecord) -> tuple[str, tuple[Detection, ...]]:
         image = read_image(pool, rec)

@@ -346,7 +346,7 @@ def test_bootstrap_rounds_recover_headline_ordering(tmp_path):
     baseline = None
     for strategy in (Strategy.NAIVE, Strategy.FILTER, Strategy.LOCAL, Strategy.FULLY):
         pool = strong_pool if strategy is Strategy.FULLY else weak_pool
-        cfg = PipelineConfig(strategy=strategy, rounds=3, eval_cfg=eval_cfg, seed=0)
+        cfg = PipelineConfig(strategy=strategy, rounds=3, eval_cfg=eval_cfg)
         result = run_pipeline(
             strong, pool, test_ds, cfg, tmp_path / f"run_{strategy.name}", jobs=4
         )
@@ -402,7 +402,7 @@ def test_cross_domain_weak_adaptation_improves(tmp_path):
         a_pool,
         a_test,
         PipelineConfig(
-            strategy=Strategy.LOCAL, rounds=1, train_cfg=train_cfg, eval_cfg=eval_cfg, seed=0
+            strategy=Strategy.LOCAL, rounds=1, train_cfg=train_cfg, eval_cfg=eval_cfg
         ),
         tmp_path / "a_run",
         jobs=4,

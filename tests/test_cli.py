@@ -13,6 +13,7 @@ from textboot.cli import build_parser, main
 from textboot.data import (
     AnnotationTier,
     Dataset,
+    Provenance,
     SceneSpec,
     generate_synthetic,
     load_dataset,
@@ -202,6 +203,18 @@ def test_run_determinism_byte_identical(cli_world, tmp_path):
         assert a[rel] == b[rel], rel
 
 
+def test_run_with_a_bad_pool_manifest_names_it(cli_world, tmp_path, capsys):
+    lines = (cli_world / "splits" / "rest.manifest").read_text().splitlines()
+    fields = lines[1].split("\t")
+    fields[3:4] = ["1,2,x,4"]  # the first rectangle
+    pool = cli_world / "splits" / "bad_rest.manifest"
+    pool.write_text("\n".join([lines[0], "\t".join(fields)] + lines[2:]) + "\n")
+    args = _run_args(cli_world, tmp_path / "run")
+    args[args.index("--pool") + 1] = str(pool)
+    assert main(args) == 1
+    assert f"error: {pool}: line 2: bad number 'x'" in capsys.readouterr().err
+
+
 def test_run_root_env_override(cli_world, tmp_path, monkeypatch):
     monkeypatch.setenv("TEXTBOOT_RUN_ROOT", str(tmp_path / "runs"))
     assert main(_run_args(cli_world, Path("exp1"), rounds="0")) == 0
@@ -214,7 +227,7 @@ def test_usage_errors_exit_two(cli_world, tmp_path):
     assert main([]) == 2
 
 
-def test_cli_defaults_come_from_the_dataclasses():
+def test_cli_defaults_come_from_the_dataclasses(cli_world, tmp_path):
     commands = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ).choices
@@ -229,21 +242,26 @@ def test_cli_defaults_come_from_the_dataclasses():
         "run": {
             **thresholds,
             "rounds": pipeline.rounds,
-            "seed": pipeline.seed,
+            "seed": train.seed,
             "epochs": train.epochs,
             "learning_rate": train.learning_rate,
             "batch_size": train.batch_size,
             "eval_iou": evaluation.iou_threshold,
-            "retrain_origin": pipeline.retrain_origin.value.lower(),
-            "annotate_with": pipeline.annotate_with.value.lower(),
         },
         "annotate": thresholds,
-        "eval": {"iou": evaluation.iou_threshold, "match_on": evaluation.match_on.value.lower()},
+        "eval": {"iou": evaluation.iou_threshold},
     }
     for command, fields in want.items():
         defaults = {a.dest: a.default for a in commands[command]._actions}
         for dest, value in fields.items():
             assert defaults[dest] == value, f"{command} --{dest.replace('_', '-')}"
+    # the strategy names come from the enums, and --seed is the training seed
+    for command, names in (("run", Strategy), ("annotate", Provenance)):
+        choices = {a.dest: a.choices for a in commands[command]._actions}["strategy"]
+        assert list(choices) == [s.name.lower() for s in names], command
+    assert main(_run_args(cli_world, tmp_path / "run", rounds="0", extra=("--seed", "5"))) == 0
+    man = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert man["config"]["train_cfg"]["seed"] == 5
 
 
 # --- eval --------------------------------------------------------------------
@@ -263,6 +281,14 @@ def test_eval_report_matches_library_bytes(cli_world, tmp_path, capsys):
     truth = load_dataset(gt_path, require_images=False)
     expected = evaluate(_manifest_detections(truth), truth, EvalConfig())
     assert report_path.read_bytes() == expected.to_text().encode()
+
+
+def test_eval_rejects_a_detection_manifest_without_pixels(cli_world, capsys):
+    weak = load_dataset(cli_world / "splits" / "rest.manifest").records[0]
+    assert main(["eval", "--det", str(cli_world / "splits" / "rest.manifest"),
+                 "--gt", str(cli_world / "train" / "dataset.manifest")]) == 1
+    err = capsys.readouterr().err
+    assert f"{weak.image_id}: a detection manifest needs tier STRONG, got WEAK" in err
 
 
 def test_eval_missing_file(tmp_path, capsys):
@@ -335,7 +361,7 @@ def test_convert_round_trip(cli_world, tmp_path):
                  "--width", "64", "--height", "64", "--out", str(out)]) == 0
     conv = load_dataset(out)
     assert len(conv.records) == len(src.records)
-    by_id = conv.by_id()
+    by_id = {r.image_id: r for r in conv.records}
     for rec in src.records:
         got = by_id[Path(rec.image_path).stem]
         assert len(got.polygons) == len(rec.polygons)
@@ -349,7 +375,14 @@ def test_convert_rejects_bad_dump(tmp_path, capsys):
     write_pgm(img_dir / "a.pgm", np.zeros((8, 8), dtype=np.uint8))
     ann = tmp_path / "ann"
     ann.mkdir()
-    (ann / "a.txt").write_text("1,2,3,4\n")  # four coords: not a polygon
-    assert main(["convert", "--images", str(img_dir), "--annotations", str(ann),
-                 "--width", "8", "--height", "8", "--out", str(tmp_path / "o.manifest")]) == 1
-    assert "coordinates" in capsys.readouterr().err
+    for dump, why in (
+        ("1,2,3,4", "coordinates"),  # four coords: not a polygon
+        ("0,0,nan,1,2,2", "finite"),
+        ("0,0,2,2,2,0,0,2", "edges cross"),
+        ("0,0,0,0,5,5", "zero-length edge"),
+    ):
+        (ann / "a.txt").write_text(f"# polygon dump\n{dump}\n")
+        assert main(["convert", "--images", str(img_dir), "--annotations", str(ann),
+                     "--width", "8", "--height", "8", "--out", str(tmp_path / "o.manifest")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ann / 'a.txt'}:2: ") and why in err, err

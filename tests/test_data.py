@@ -18,7 +18,6 @@ from textboot.errors import (
     EmptyDatasetError,
     ImageError,
     ManifestError,
-    MissingImageError,
     TierError,
 )
 from textboot.geometry import AxisRect, BitMask, Polygon, mask_iou, rasterize
@@ -176,14 +175,16 @@ def test_manifest_errors(tmp_path):
     with pytest.raises(ManifestError) as ei:
         load_dataset(m)
     assert ei.value.line == 2
+    assert str(ei.value).startswith(f"{m}: line 2: ")
 
     m.write_text("#manifest width=16 height=16\na\ta.pgm\tBOGUS\n")
     with pytest.raises(ManifestError):
         load_dataset(m)
 
     m.write_text("#manifest width=16 height=16\na\tmissing.pgm\tNONE\n")
-    with pytest.raises(MissingImageError):
+    with pytest.raises(ImageError) as ei:
         load_dataset(m)
+    assert str(ei.value) == f"{m}: line 2: image file not found: {(tmp_path / 'missing.pgm').resolve()}"
 
     m.write_text(f"#manifest width=16 height=16\na\t{path}\tSTRONG\t0,0,1e400,0,4,4\n")
     with pytest.raises(ManifestError):

@@ -111,6 +111,8 @@ def test_train_config_validation():
         TrainConfig(score_threshold_for_proposals=1.0)
     with pytest.raises(ValueError):
         TrainConfig(patch_radius=0)
+    with pytest.raises(ValueError):
+        TrainConfig(seed=-1)
     TrainConfig()  # defaults are valid
 
 

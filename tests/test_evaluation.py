@@ -12,7 +12,6 @@ from textboot.errors import (
 from textboot.evaluation import (
     EvalConfig,
     EvalReport,
-    MatchOn,
     brute_force_match,
     evaluate,
     greedy_match,
@@ -192,14 +191,13 @@ def test_empty_truth_with_detections_gives_zero_precision():
     assert rep.false_positives == 1 and rep.false_negatives == 0
 
 
-def test_box_mode_matches_on_boxes():
+def test_matching_uses_masks_not_boxes():
     # curved-ish truth: L-shape whose bbox is [10,20)x[10,20)
     ell = Polygon.from_pairs([(10, 10), (20, 10), (20, 12), (12, 12), (12, 20), (10, 20)])
     truth = _truth(_rec("a", [ell]))
     # detection mask = the bbox block: box IoU 1.0, mask IoU 0.36
     det = _det_for(_rect_poly(10, 10, 20, 20))
-    assert evaluate({"a": [det]}, truth, EvalConfig(match_on=MatchOn.BOX)).f_measure == 1.0
-    assert evaluate({"a": [det]}, truth, EvalConfig(match_on=MatchOn.MASK)).f_measure == 0.0
+    assert evaluate({"a": [det]}, truth, EvalConfig()).f_measure == 0.0
 
 
 def test_evaluate_rejects_non_strong_truth():

@@ -202,7 +202,8 @@ def test_translation_invariance():
         a = AxisRect(vals[0], vals[1], vals[0] + vals[2] + 1, vals[1] + vals[3] + 1)
         b = AxisRect(vals[4], vals[5], vals[4] + vals[6] + 1, vals[5] + vals[7] + 1)
         dx, dy = int(rng.integers(-5, 6)), int(rng.integers(-5, 6))
-        assert rect_iou(a, b) == rect_iou(a.translated(dx, dy), b.translated(dx, dy))
+        a2, b2 = (AxisRect(r.x_min + dx, r.y_min + dy, r.x_max + dx, r.y_max + dy) for r in (a, b))
+        assert rect_iou(a, b) == rect_iou(a2, b2)
         assert rect_iou(a, b) == rect_iou(b, a)
 
 

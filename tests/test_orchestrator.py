@@ -26,9 +26,7 @@ from textboot.errors import (
     TierError,
 )
 from textboot.orchestrator import (
-    AnnotateWith,
     PipelineConfig,
-    RetrainOrigin,
     RoundReport,
     RunResult,
     Strategy,
@@ -78,8 +76,6 @@ def test_best_round_prefers_earliest_tie():
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(strategy=Strategy.LOCAL, rounds=-1)
-    with pytest.raises(ValueError):
-        PipelineConfig(strategy=Strategy.LOCAL, seed=-1)
 
 
 def test_dataset_examples_rejects_weak(world):
@@ -121,7 +117,7 @@ def test_local_run_structure_and_artifacts(world, tmp_path):
         assert all(rec.tier is AnnotationTier.STRONG for rec in pseudo.records)
         assert all(rec.round_index == r for rec in pseudo.records if rec.provenance)
         model = load_model(rdir / "model.bin")
-        assert model.seed == cfg.seed + r
+        assert model.seed == cfg.train_cfg.seed + r
     assert result.best_round == best_round_index(result.reports)
     # f-vs-round table lists every round
     tsv = (tmp_path / "run" / "f_vs_round.tsv").read_text().strip().splitlines()
@@ -219,7 +215,7 @@ def test_naive_accepts_none_tier_pool(world, tmp_path):
 
 def test_runs_are_byte_deterministic(world, tmp_path):
     _, strong, weak_pool, _, test_ds = world
-    cfg = PipelineConfig(strategy=Strategy.FILTER, rounds=1, train_cfg=FAST, seed=4)
+    cfg = PipelineConfig(strategy=Strategy.FILTER, rounds=1, train_cfg=replace(FAST, seed=4))
     r1 = run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "a")
     r2 = run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "b", jobs=3)
     for name in ("metrics.txt", "f_vs_round.tsv"):
@@ -263,23 +259,10 @@ def test_moved_tree_reproduces_its_pseudo_manifests(tmp_path):
 
 def test_seed_flows_into_round_models(world, tmp_path):
     _, strong, weak_pool, _, test_ds = world
-    cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=1, train_cfg=FAST, seed=100)
+    cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=1, train_cfg=replace(FAST, seed=100))
     run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run")
     assert load_model(tmp_path / "run" / "round_000" / "model.bin").seed == 100
     assert load_model(tmp_path / "run" / "round_001" / "model.bin").seed == 101
-
-
-def test_alternate_knobs_smoke(world, tmp_path):
-    _, strong, weak_pool, _, test_ds = world
-    cfg = PipelineConfig(
-        strategy=Strategy.LOCAL,
-        rounds=1,
-        train_cfg=FAST,
-        retrain_origin=RetrainOrigin.FROM_PREVIOUS,
-        annotate_with=AnnotateWith.BEST,
-    )
-    result = run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run")
-    assert not result.incomplete and len(result.reports) == 2
 
 
 # --- cross-domain -------------------------------------------------------------
