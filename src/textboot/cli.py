@@ -35,7 +35,7 @@ from .data import (
     split_dataset,
 )
 from .detector import TrainConfig
-from .errors import TextBootError
+from .errors import TextBootError, UnknownImageError
 from .evaluation import EvalConfig, evaluate
 from .geometry import Detection, Polygon, mask_bbox
 from .orchestrator import PipelineConfig, Strategy, cross_domain_annotate, run_pipeline
@@ -133,7 +133,6 @@ def cmd_run(args) -> int:
 
     manifest = {
         "tool_version": __version__,
-        "seed": args.seed,
         "config": {
             "strategy": cfg.strategy.value,
             "rounds": cfg.rounds,
@@ -199,7 +198,11 @@ def _manifest_detections(ds: Dataset) -> dict[str, list[Detection]]:
 def cmd_eval(args) -> int:
     truth = load_dataset(Path(args.gt), require_images=False)
     det_ds = load_dataset(Path(args.det), require_images=False)
-    report = evaluate(_manifest_detections(det_ds), truth, EvalConfig(iou_threshold=args.iou))
+    try:
+        report = evaluate(_manifest_detections(det_ds), truth, EvalConfig(iou_threshold=args.iou))
+    except UnknownImageError as e:
+        e.args = (f"{args.det}: {e} (truth: {args.gt})",)
+        raise
     if args.report:
         Path(args.report).write_text(report.to_text(), encoding="utf-8")
     print(f"P={report.precision:.3f} R={report.recall:.3f} F={report.f_measure:.3f}")

@@ -23,12 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .errors import (
-    DegenerateBoxError,
-    EmptyTrainingSetError,
-    ModelFormatError,
-    NonFiniteLossError,
-)
+from .errors import DegenerateBoxError, EmptyTrainingSetError, ModelFormatError, NonFiniteLossError
 from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, mask_bbox
 
 MASK_PIXEL_THRESHOLD = 0.5  # symmetric point of the BCE loss; not configurable
@@ -224,12 +219,8 @@ def train(
         row += ex.image.size
     y = np.concatenate([ex.label_map().reshape(-1) for ex in examples]).astype(np.float64)
 
-    if base is not None:
-        w = base.weights.copy()
-        b = float(base.bias)
-    else:
-        w = np.zeros(feature_dim(radius), dtype=np.float64)
-        b = 0.0
+    w = base.weights.copy() if base is not None else np.zeros(feature_dim(radius), dtype=np.float64)
+    b = float(base.bias) if base is not None else 0.0
 
     rng = np.random.default_rng(cfg.seed)
     n = y.size
@@ -237,10 +228,11 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb = X[idx]
+            # numpy's own f32->f64 casts, made once; an F-ordered xb.T would change the bytes.
+            xb = X.take(idx, axis=0).astype(np.float64)
             z = xb @ w + b
-            g = _sigmoid(z) - y[idx]
-            w -= cfg.learning_rate * (xb.T @ g) / idx.size
+            g = _sigmoid(z) - y.take(idx)
+            w -= cfg.learning_rate * (np.ascontiguousarray(xb.T) @ g) / idx.size
             b -= cfg.learning_rate * float(g.mean())
         if not (np.all(np.isfinite(w)) and np.isfinite(b)):
             raise NonFiniteLossError(

@@ -53,6 +53,10 @@ class ModelFormatError(TextBootError):
     """A model file has a bad magic, unknown version, or truncated body."""
 
 
+class UnknownImageError(TextBootError):
+    """Detections name image ids that the ground truth lacks."""
+
+
 class DisjointnessError(TextBootError):
     """Strong, pool, and test datasets must not share image ids."""
 

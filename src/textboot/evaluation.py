@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AnnotationTier, Dataset, record_masks, require_tier
-from .errors import DimensionMismatchError, TooManyInstancesError
+from .errors import DimensionMismatchError, TooManyInstancesError, UnknownImageError
 from .geometry import Detection, mask_iou
 
 BRUTE_FORCE_CAP = 8
@@ -128,10 +128,9 @@ def evaluate(
     """Score per-image detections against a pixel-annotated dataset."""
     cfg = cfg or EvalConfig()
     require_tier(truth, (AnnotationTier.STRONG,), "evaluation")
-    known = {rec.image_id for rec in truth.records}
-    unknown = sorted(set(detections) - known)
+    unknown = sorted(set(detections) - {rec.image_id for rec in truth.records})
     if unknown:
-        raise ValueError(f"detections reference unknown image ids: {', '.join(unknown)}")
+        raise UnknownImageError(f"ids not in the truth ({len(unknown)}): {', '.join(unknown[:5])}")
 
     h, w = truth.image_height, truth.image_width
     per_image = []

@@ -221,24 +221,24 @@ def rasterize(p: Polygon, width: int, height: int) -> BitMask:
     A pixel ``(row, col)`` is set iff its center ``(col + 0.5, row + 0.5)``
     is inside the polygon by the even-odd rule.  Pixels outside the grid
     are simply dropped.
+
+    One scanline pass: an edge crossing a row's center line at ``x_at``
+    toggles the ``searchsorted(cx, x_at)`` centers left of it, so a pixel
+    is set when a per-row suffix count of crossings to its right is odd.
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid dims must be positive, got {width}x{height}")
     cx = np.arange(width, dtype=float) + 0.5
     cy = np.arange(height, dtype=float) + 0.5
-    inside = np.zeros((height, width), dtype=bool)
-    verts = p.vertices
-    n = len(verts)
-    for i in range(n):
-        x1, y1 = verts[i].x, verts[i].y
-        x2, y2 = verts[(i + 1) % n].x, verts[(i + 1) % n].y
-        if y1 == y2:
-            continue
-        crosses = (y1 <= cy) != (y2 <= cy)
-        t = (cy - y1) / (y2 - y1)
-        x_at = x1 + t * (x2 - x1)
-        inside ^= crosses[:, None] & (cx[None, :] < x_at[:, None])
-    return BitMask(inside)
+    x1, y1 = np.array([(v.x, v.y) for v in p.vertices]).T
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    edge, row = np.nonzero((y1[:, None] <= cy) != (y2[:, None] <= cy))
+    t = (cy[row] - y1[edge]) / (y2[edge] - y1[edge])
+    x_at = x1[edge] + t * (x2[edge] - x1[edge])
+    toggled = np.searchsorted(cx, x_at, side="left")
+    counts = np.bincount(row * (width + 1) + toggled, minlength=height * (width + 1))
+    right_of = np.cumsum(counts.reshape(height, width + 1)[:, ::-1], axis=1)[:, ::-1]
+    return BitMask(right_of[:, 1:] & 1)
 
 
 def mask_iou(a: BitMask, b: BitMask) -> float:

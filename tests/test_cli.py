@@ -146,6 +146,7 @@ def test_run_local_full_artifacts_and_manifest(cli_world, tmp_path, capsys):
         assert (run / rel).exists(), rel
     man = json.loads((run / "run_manifest.json").read_text())
     assert man["tool_version"]
+    assert "seed" not in man, "the seed is recorded once, as config.train_cfg.seed"
     assert man["config"]["strategy"] == "LOCAL"
     assert man["best_round"] in (0, 1)
     assert not man["incomplete"]
@@ -289,6 +290,17 @@ def test_eval_rejects_a_detection_manifest_without_pixels(cli_world, capsys):
                  "--gt", str(cli_world / "train" / "dataset.manifest")]) == 1
     err = capsys.readouterr().err
     assert f"{weak.image_id}: a detection manifest needs tier STRONG, got WEAK" in err
+
+
+def test_eval_names_the_detection_manifest_with_unknown_ids(cli_world, capsys):
+    det = cli_world / "train" / "dataset.manifest"
+    gt = cli_world / "test" / "dataset.manifest"
+    ids = sorted(r.image_id for r in load_dataset(det).records)
+    assert main(["eval", "--det", str(det), "--gt", str(gt)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {det}: ids not in the truth ({len(ids)}): {', '.join(ids[:5])} (truth: {gt})\n"
+    )
 
 
 def test_eval_missing_file(tmp_path, capsys):

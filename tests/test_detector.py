@@ -160,7 +160,9 @@ def _reference_sigmoid(z):
 
 def _reference_train(base, examples, cfg):
     """The original training loop: one concatenated feature matrix, masked
-    sigmoid, and a full-data loss pass per epoch as the divergence check."""
+    sigmoid, float32 batches multiplied into float64 parameters as mixed-dtype
+    products (``X[idx] @ w``, ``xb.T @ g``), and a full-data loss pass per
+    epoch as the divergence check."""
     X = np.concatenate([patch_features(ex.image, cfg.patch_radius) for ex in examples], axis=0)
     y = np.concatenate([ex.label_map().reshape(-1) for ex in examples]).astype(np.float64)
     if base is not None:
@@ -201,14 +203,19 @@ def test_sigmoid_matches_reference_bit_for_bit():
         ("fine-tune", TrainConfig(epochs=2, seed=5, patch_radius=2)),
         ("ragged batches", TrainConfig(epochs=2, seed=4, batch_size=1000)),
         ("radius 1", TrainConfig(epochs=3, seed=2, patch_radius=1)),
+        ("one batch per epoch", TrainConfig(epochs=3, seed=6, batch_size=20_000)),
+        ("benchmark batches", TrainConfig(epochs=2, seed=9, batch_size=512)),
     ],
 )
 def test_train_matches_reference_loop_bit_for_bit(easy_world, case, cfg):
     _, examples, model = easy_world
     base = model if case == "fine-tune" else None
     examples = examples[:3]
+    n = sum(ex.image.size for ex in examples)
     if case == "ragged batches":
-        assert sum(ex.image.size for ex in examples) % cfg.batch_size, "want a short last batch"
+        assert n % cfg.batch_size, "want a short last batch"
+    if case == "one batch per epoch":
+        assert cfg.batch_size > n, "want the whole data in one batch"
     got = train(base, examples, cfg)
     w, b = _reference_train(base, examples, cfg)
     assert got.weights.tobytes() == w.tobytes()

@@ -8,6 +8,7 @@ from textboot.errors import (
     DimensionMismatchError,
     TierError,
     TooManyInstancesError,
+    UnknownImageError,
 )
 from textboot.evaluation import (
     EvalConfig,
@@ -213,8 +214,11 @@ def test_evaluate_rejects_non_strong_truth():
 
 def test_evaluate_rejects_unknown_image_ids():
     truth = _truth(_rec("a", []))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownImageError, match=r"^ids not in the truth \(1\): zz$"):
         evaluate({"zz": []}, truth)
+    unknown = {f"z{i}": [] for i in range(7)}
+    with pytest.raises(UnknownImageError, match=r"\(7\): z0, z1, z2, z3, z4$"):
+        evaluate(unknown, truth)
 
 
 def test_evaluate_rejects_wrong_mask_dims():

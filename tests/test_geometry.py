@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from textboot.data import SceneSpec, generate_synthetic
 from textboot.errors import DimensionMismatchError, EmptyMaskError
 from textboot.geometry import (
     AxisRect,
@@ -142,13 +143,87 @@ def test_rasterize_examples():
     assert abs(rasterize(tri, 20, 20).count - 6.0) <= perimeter
 
 
+def per_edge_rasterize(verts, width, height):
+    """``rasterize`` as it was before its one-pass fill: every non-horizontal
+    edge XORs the whole grid once.  Kept as a second oracle."""
+    cx = np.arange(width, dtype=float) + 0.5
+    cy = np.arange(height, dtype=float) + 0.5
+    inside = np.zeros((height, width), dtype=bool)
+    n = len(verts)
+    for i in range(n):
+        (x1, y1), (x2, y2) = verts[i], verts[(i + 1) % n]
+        if y1 == y2:
+            continue
+        crosses = (y1 <= cy) != (y2 <= cy)
+        t = (cy - y1) / (y2 - y1)
+        x_at = x1 + t * (x2 - x1)
+        inside ^= crosses[:, None] & (cx[None, :] < x_at[:, None])
+    return inside
+
+
+ORACLE_FRAMES = ((24, 24), (31, 17), (17, 31), (1, 1), (1, 9), (9, 1))
+
+
+def _oracle_polygons(rng, width, height, n):
+    """Star polygons and axis-aligned rectangles (horizontal edges) with free,
+    integer and pixel-center vertices, placed inside, across and wholly
+    outside a ``width`` x ``height`` frame."""
+    snaps = (lambda v: v, np.round, lambda v: np.floor(v) + 0.5)
+    for i in range(n):
+        snap = snaps[i % 3]
+        cx, cy = rng.uniform(-6, width + 6), rng.uniform(-6, height + 6)
+        if i % 4 == 3:
+            x0, x1 = sorted(snap(cx + rng.uniform(-9, 9, 2)).tolist())
+            y0, y1 = sorted(snap(cy + rng.uniform(-9, 9, 2)).tolist())
+            pairs = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+        else:
+            pairs = snap(np.array(random_star_polygon(rng, cx, cy, 0.6, 9.0))).tolist()
+        try:
+            yield Polygon.from_pairs(pairs)
+        except ValueError:  # snapping merged two vertices or crossed two edges
+            continue
+
+
+@pytest.mark.filterwarnings("error")
 def test_rasterize_against_oracle():
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        verts = random_star_polygon(rng, rng.uniform(4, 20), rng.uniform(4, 20), 2.0, 9.0)
-        got = rasterize(Polygon.from_pairs(verts), 24, 24)
-        want = rasterize_oracle(verts, 24, 24)
-        assert np.array_equal(got.pixels, want)
+    seen = dict.fromkeys(
+        ("inside", "across", "outside", "horizontal edge", "integer vertices", "center vertices"), 0
+    )
+    for width, height in ORACLE_FRAMES:
+        for poly in _oracle_polygons(rng, width, height, 120):
+            verts = [(v.x, v.y) for v in poly.vertices]
+            got = rasterize(poly, width, height).pixels
+            assert np.array_equal(got, rasterize_oracle(verts, width, height)), (width, verts)
+            assert np.array_equal(got, per_edge_rasterize(verts, width, height)), (width, verts)
+            b = poly.bounding_box()
+            if b.x_min >= 0 and b.y_min >= 0 and b.x_max <= width and b.y_max <= height:
+                seen["inside"] += 1
+            elif b.x_min >= width or b.y_min >= height or b.x_max <= 0 or b.y_max <= 0:
+                seen["outside"] += 1
+                assert not got.any()
+            else:
+                seen["across"] += 1
+            edges = zip(verts, verts[1:] + verts[:1])
+            seen["horizontal edge"] += any(v[1] == w[1] for v, w in edges)
+            seen["integer vertices"] += all(x % 1 == 0 and y % 1 == 0 for x, y in verts)
+            seen["center vertices"] += all(x % 1 == 0.5 and y % 1 == 0.5 for x, y in verts)
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.filterwarnings("error")
+def test_rasterize_matches_the_per_edge_loop_on_a_synthetic_world(tmp_path):
+    """Every ribbon of a generated world, and the crack outline that a
+    pseudo label of that ribbon would be saved as."""
+    ds = generate_synthetic(SceneSpec(n_images=30, seed=4), tmp_path)
+    w, h = ds.image_width, ds.image_height
+    polygons = [p for r in ds.records for p in r.polygons]
+    assert len(polygons) >= 30
+    for ribbon in polygons:
+        outlines = mask_to_polygon(rasterize(ribbon, w, h))
+        for poly in [ribbon, *outlines]:
+            want = per_edge_rasterize([(v.x, v.y) for v in poly.vertices], w, h)
+            assert np.array_equal(rasterize(poly, w, h).pixels, want)
 
 
 def test_rasterize_count_close_to_area():
