@@ -5,9 +5,8 @@ on stderr), 2 on a usage error.  Every subcommand is deterministic given
 its flags and seeds and never mutates its inputs; ``run`` additionally
 writes a run_manifest.json recording the tool version, the full config,
 and SHA-256 hashes of the input manifests and of every other file in the
-run directory, so a run can be re-verified byte for byte.  A relative
-``run --out`` is placed under the directory named by the TEXTBOOT_RUN_ROOT
-environment variable when it is set.
+run directory, so a run can be re-verified byte for byte.  ``run --out``
+names the run directory, relative to the working directory unless absolute.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -40,17 +38,6 @@ from .evaluation import EvalConfig, evaluate
 from .geometry import Detection, Polygon, mask_bbox
 from .orchestrator import PipelineConfig, Strategy, cross_domain_annotate, run_pipeline
 from .strategies import StrategyConfig
-
-RUN_ROOT_ENV = "TEXTBOOT_RUN_ROOT"
-
-
-def _resolve_run_dir(out: str) -> Path:
-    path = Path(out)
-    root = os.environ.get(RUN_ROOT_ENV)
-    if root and not path.is_absolute():
-        return Path(root) / path
-    return path
-
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -128,7 +115,7 @@ def cmd_run(args) -> int:
         ),
         eval_cfg=EvalConfig(iou_threshold=args.eval_iou),
     )
-    run_dir = _resolve_run_dir(args.out)
+    run_dir = Path(args.out)
     result = run_pipeline(strong, pool, test, cfg, run_dir, jobs=args.jobs)
 
     manifest = {
@@ -326,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", required=True, help="pixel-annotated training manifest")
     p.add_argument("--pool", required=True, help="weak/unlabeled pool manifest")
     p.add_argument("--test", required=True, help="pixel-annotated test manifest")
-    p.add_argument("--out", required=True, help="run directory (see TEXTBOOT_RUN_ROOT)")
+    p.add_argument("--out", required=True, help="run directory; created if missing")
     p.add_argument("--strategy", choices=_choices(Strategy), required=True)
     p.add_argument("--rounds", type=int, default=pipeline.rounds)
     p.add_argument("--seed", type=int, default=training.seed,

@@ -238,19 +238,11 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
             continue
         vals = _parse_floats(token, lineno)
         if len(vals) == 4:
-            if tier is not AnnotationTier.WEAK:
-                raise TierError(
-                    f"line {lineno}: rectangle geometry on a {tier.value} record"
-                )
             try:
                 rects.append(AxisRect(*vals))
             except ValueError as e:
                 raise ManifestError(str(e), lineno) from e
         elif len(vals) >= 6 and len(vals) % 2 == 0:
-            if tier is not AnnotationTier.STRONG:
-                raise TierError(
-                    f"line {lineno}: polygon geometry on a {tier.value} record"
-                )
             try:
                 polygons.append(Polygon.from_pairs(zip(vals[0::2], vals[1::2])))
             except ValueError as e:
@@ -259,11 +251,8 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
             raise ManifestError(f"geometry needs 4 or an even count >= 6 numbers, got {len(vals)}", lineno)
 
     resolved = Path(os.path.normpath(base / rel_path))
-    if require_images and not resolved.is_file():
-        raise ImageError(f"line {lineno}: image file not found: {resolved}")
-
     try:
-        return AnnotationRecord(
+        record = AnnotationRecord(
             image_id=image_id,
             image_path=str(resolved),
             tier=tier,
@@ -273,8 +262,13 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
             provenance=provenance,
             round_index=round_index,
         )
+    except TierError as e:
+        raise TierError(f"line {lineno}: {e}") from None
     except ValueError as e:
         raise ManifestError(str(e), lineno) from e
+    if require_images and not resolved.is_file():
+        raise ImageError(f"line {lineno}: image file not found: {resolved}")
+    return record
 
 
 def _parse_floats(text: str, lineno: int) -> list[float]:
@@ -416,14 +410,14 @@ class SceneSpec:
 
     Ribbons are bright strokes swept along random arcs over a textured
     background; distractors are dimmer elliptical smudges that are not
-    text.  ``ribbon_lift`` and ``illumination`` are in gray levels.
+    text.  ``ribbon_lift`` and ``illumination`` are in gray levels.  The
+    arc curvature, distractor brightness and texture cell are fixed.
     """
 
     n_images: int
     width: int = 80
     height: int = 80
     instances_per_image: tuple[int, int] = (1, 3)
-    curvature: tuple[float, float] = (0.012, 0.05)
     stroke_width: tuple[int, int] = (5, 6)
     noise_level: float = 0.005
     seed: int = 0
@@ -431,20 +425,16 @@ class SceneSpec:
     ribbon_lift: tuple[float, float] = (50.0, 85.0)
     illumination: tuple[float, float] = (-30.0, 30.0)
     distractors_per_image: tuple[int, int] = (1, 2)
-    distractor_lift: tuple[float, float] = (18.0, 30.0)
     texture_amp: float = 8.0
-    texture_cell: int = 12
     pixel_noise: float = 7.0
 
     def __post_init__(self) -> None:
         if self.n_images < 1:
             raise ValueError(f"n_images must be >= 1, got {self.n_images}")
-        if self.texture_cell < 2:
-            raise ValueError(f"texture_cell must be >= 2, got {self.texture_cell}")
         if self.width < 16 or self.height < 16:
             raise ValueError(f"scene dims must be at least 16x16, got {self.width}x{self.height}")
-        for name in ("instances_per_image", "curvature", "stroke_width", "ribbon_lift",
-                     "illumination", "distractors_per_image", "distractor_lift"):
+        for name in ("instances_per_image", "stroke_width", "ribbon_lift", "illumination",
+                     "distractors_per_image"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} range is empty: ({lo}, {hi})")
@@ -455,6 +445,9 @@ class SceneSpec:
 
 
 _BACKGROUND_LEVEL = 92.0
+_CURVATURE = (0.012, 0.05)  # ribbon arc curvature range, 1/px
+_DISTRACTOR_LIFT = (18.0, 30.0)  # gray levels
+_TEXTURE_CELL = 12  # px between the background texture's grid points
 
 
 def generate_synthetic(spec: SceneSpec, out_dir) -> Dataset:
@@ -485,7 +478,7 @@ def _render_scene(rng: np.random.Generator, spec: SceneSpec):
     h, w = spec.height, spec.width
     illum = rng.uniform(*spec.illumination)
     img = np.full((h, w), _BACKGROUND_LEVEL + illum)
-    img += spec.texture_amp * _smooth_field(rng, h, w, spec.texture_cell)
+    img += spec.texture_amp * _smooth_field(rng, h, w, _TEXTURE_CELL)
     img += rng.normal(0.0, spec.pixel_noise, (h, w))
 
     polys: list[Polygon] = []
@@ -506,7 +499,7 @@ def _render_scene(rng: np.random.Generator, spec: SceneSpec):
         ell = _place_ellipse(rng, spec, boxes)
         if ell is None:
             continue
-        img[ell] += rng.uniform(*spec.distractor_lift)
+        img[ell] += rng.uniform(*_DISTRACTOR_LIFT)
 
     k = int(round(spec.noise_level * h * w))
     if k > 0:
@@ -561,7 +554,7 @@ def _ribbon_polygon(rng, spec: SceneSpec):
     if 2 * margin >= min(spec.width, spec.height):
         return None
     length = rng.uniform(0.35, 0.55) * min(spec.width, spec.height)
-    kappa = rng.uniform(*spec.curvature) * (1.0 if rng.random() < 0.5 else -1.0)
+    kappa = rng.uniform(*_CURVATURE) * (1.0 if rng.random() < 0.5 else -1.0)
     theta0 = rng.uniform(0.0, 2.0 * np.pi)
     x0 = rng.uniform(margin, spec.width - margin)
     y0 = rng.uniform(margin, spec.height - margin)

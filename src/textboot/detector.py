@@ -26,7 +26,10 @@ from scipy import ndimage
 from .errors import DegenerateBoxError, EmptyTrainingSetError, ModelFormatError, NonFiniteLossError
 from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, mask_bbox
 
-MASK_PIXEL_THRESHOLD = 0.5  # symmetric point of the BCE loss; not configurable
+# Written into every trained model: a pixel is text when p >= the threshold
+# (the symmetric point of the BCE loss), and a proposal needs 8 such pixels.
+SCORE_THRESHOLD = 0.5
+MIN_COMPONENT_PIXELS = 8
 
 _MAGIC = b"TXBM"
 _VERSION = 1
@@ -39,8 +42,6 @@ class TrainConfig:
     learning_rate: float = 2.0
     batch_size: int = 4096
     seed: int = 0
-    score_threshold_for_proposals: float = 0.5
-    min_component_pixels: int = 8
     patch_radius: int = 3
 
     def __post_init__(self) -> None:
@@ -52,10 +53,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.score_threshold_for_proposals < 1.0:
-            raise ValueError("score_threshold_for_proposals must lie in (0, 1)")
-        if self.min_component_pixels < 1:
-            raise ValueError("min_component_pixels must be >= 1")
         if self.patch_radius < 1:
             raise ValueError("patch_radius must be >= 1")
 
@@ -111,7 +108,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Immutable trained model plus its inference thresholds."""
+    """Immutable trained model plus its inference thresholds.
+
+    A pixel is text when its probability is >= ``score_threshold``, for
+    ``detect`` and ``masks_for_boxes`` alike.
+    """
 
     weights: np.ndarray
     bias: float
@@ -131,6 +132,10 @@ class DetectorModel:
             )
         if not (np.all(np.isfinite(w)) and np.isfinite(self.bias)):
             raise ValueError("model parameters must be finite")
+        if not 0.0 < self.score_threshold < 1.0:
+            raise ValueError(f"score_threshold must lie in (0, 1), got {self.score_threshold}")
+        if self.min_component_pixels < 1:
+            raise ValueError(f"min_component_pixels must be >= 1, got {self.min_component_pixels}")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -159,7 +164,7 @@ class DetectorModel:
         return dets
 
     def masks_for_boxes(self, image: np.ndarray, boxes: list[AxisRect]) -> list[BitMask]:
-        """Per box, probability >= 0.5 inside it and everything else unset.
+        """Per box, the text pixels inside it and everything else unset.
 
         The probability map is computed once for all boxes, and not at all
         when there are none.
@@ -170,20 +175,21 @@ class DetectorModel:
         if not boxes:
             return []
         probs = self.prob_map(image)
-        return [_mask_in_box(probs, box) for box in boxes]
+        fired = probs >= self.score_threshold
+        return [_mask_in_box(fired, box) for box in boxes]
 
     def mask_for_box(self, image: np.ndarray, box: AxisRect) -> BitMask:
         """The one-box form of ``masks_for_boxes``."""
         return self.masks_for_boxes(image, [box])[0]
 
 
-def _mask_in_box(probs: np.ndarray, box: AxisRect) -> BitMask:
-    h, w = probs.shape
+def _mask_in_box(fired: np.ndarray, box: AxisRect) -> BitMask:
+    h, w = fired.shape
     keep = np.zeros((h, w), dtype=bool)
     r0, r1 = _center_span(box.y_min, box.y_max, h)
     c0, c1 = _center_span(box.x_min, box.x_max, w)
     if r0 < r1 and c0 < c1:
-        keep[r0:r1, c0:c1] = probs[r0:r1, c0:c1] >= MASK_PIXEL_THRESHOLD
+        keep[r0:r1, c0:c1] = fired[r0:r1, c0:c1]
     return BitMask(keep)
 
 
@@ -243,8 +249,8 @@ def train(
         weights=w,
         bias=b,
         patch_radius=radius,
-        score_threshold=cfg.score_threshold_for_proposals,
-        min_component_pixels=cfg.min_component_pixels,
+        score_threshold=SCORE_THRESHOLD,
+        min_component_pixels=MIN_COMPONENT_PIXELS,
         rounds_seen=base.rounds_seen + 1 if base is not None else 0,
         epochs_trained=(base.epochs_trained if base is not None else 0) + cfg.epochs,
         seed=cfg.seed,
@@ -298,13 +304,16 @@ def load_model(path) -> DetectorModel:
             f"{path}: truncated parameter block ({len(body)} bytes for {n_params} params)"
         )
     params = np.frombuffer(body, dtype="<f8")
-    return DetectorModel(
-        weights=params[:-1].astype(np.float64),
-        bias=float(params[-1]),
-        patch_radius=radius,
-        score_threshold=thr,
-        min_component_pixels=min_px,
-        rounds_seen=rounds,
-        epochs_trained=epochs,
-        seed=seed,
-    )
+    try:
+        return DetectorModel(
+            weights=params[:-1].astype(np.float64),
+            bias=float(params[-1]),
+            patch_radius=radius,
+            score_threshold=thr,
+            min_component_pixels=min_px,
+            rounds_seen=rounds,
+            epochs_trained=epochs,
+            seed=seed,
+        )
+    except ValueError as e:
+        raise ModelFormatError(f"{path}: {e}") from None

@@ -123,10 +123,9 @@ def brute_force_match(iou: np.ndarray, threshold: float) -> tuple[int, int, int]
 
 
 def evaluate(
-    detections: dict[str, list[Detection]], truth: Dataset, cfg: EvalConfig | None = None
+    detections: dict[str, list[Detection]], truth: Dataset, cfg: EvalConfig = EvalConfig()
 ) -> EvalReport:
     """Score per-image detections against a pixel-annotated dataset."""
-    cfg = cfg or EvalConfig()
     require_tier(truth, (AnnotationTier.STRONG,), "evaluation")
     unknown = sorted(set(detections) - {rec.image_id for rec in truth.records})
     if unknown:

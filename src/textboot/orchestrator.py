@@ -6,20 +6,19 @@ are superseded, not accumulated), retrains from the round-0 baseline on
 the pixel-annotated set plus the fresh pseudo labels, and scores the
 result on a held-out test split.  Round r trains with seed
 ``train_cfg.seed + r``.  The best round is the one with the highest
-F-measure, earliest on ties.  FULLY is the upper-bound setting: one
-model trained as if the entire pool had pixel annotations; it performs
-no pseudo-labeling.
+F-measure, earliest on ties.  FULLY is the upper-bound setting: its only
+round is round 0 over the pixel-annotated set plus the whole pool, whose
+pixel annotations it trains on directly; it performs no pseudo-labeling.
 
 Every run writes a self-describing directory: per-round model files,
 pseudo-label manifests and metrics, plus run-level metrics and an
 F-versus-round table.  All artifacts are byte-deterministic for a fixed
-(datasets, config, seed); wall-clock timings are reported in memory only.
+(datasets, config, seed).
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -59,15 +58,17 @@ class RoundReport:
     f_measure: float
     pseudo_count: int
     model_path: str
-    wall_time: float
 
 
 @dataclass(frozen=True)
 class RunResult:
     reports: tuple[RoundReport, ...]
     best_round: int
-    incomplete: bool = False
     failure: str | None = None
+
+    @property
+    def incomplete(self) -> bool:
+        return self.failure is not None
 
 
 def best_round_index(reports) -> int:
@@ -157,10 +158,9 @@ def run_pipeline(
     """Execute one full bootstrap run, writing artifacts under run_dir.
 
     A domain error mid-round (a bad or wrong-size image, diverged
-    training, tier misuse)
-    stops the run and returns the rounds finished so far with
-    ``incomplete=True``; programming errors propagate.  ``best_round``
-    is -1 when not even the baseline round finished.
+    training, tier misuse) stops the run and returns the rounds finished
+    so far, with the error as ``failure``; programming errors propagate.
+    ``best_round`` is -1 when not even the baseline round finished.
     """
     if not strong.records:
         raise EmptyDatasetError("the pixel-annotated training split is empty")
@@ -171,29 +171,18 @@ def run_pipeline(
 
     reports: list[RoundReport] = []
     models: list[DetectorModel] = []
-    incomplete = False
     failure = None
     try:
-        strong_examples = dataset_examples(strong)
-
+        labelled = dataset_examples(strong)
+        rounds = cfg.rounds
         if cfg.strategy is Strategy.FULLY:
             require_tier(pool, (AnnotationTier.STRONG,), "the upper-bound setting")
-            rounds_plan = [0]
-        else:
-            rounds_plan = list(range(cfg.rounds + 1))
+            labelled, rounds = labelled + dataset_examples(pool), 0
 
-        for r in rounds_plan:
-            started = time.perf_counter()
+        for r in range(rounds + 1):
             rdir = _round_dir(run_dir, r)
-            pseudo_count = 0
-
-            if cfg.strategy is Strategy.FULLY:
-                examples = strong_examples + dataset_examples(pool)
-                base = None
-            elif r == 0:
-                examples = strong_examples
-                base = None
-            else:
+            examples, base, pseudo_count = labelled, None, 0
+            if r > 0:
                 pseudo = annotate_pool(
                     models[-1],
                     pool,
@@ -205,7 +194,7 @@ def run_pipeline(
                 pseudo_ds = pseudo_to_dataset(pool, pseudo)
                 save_dataset(pseudo_ds, rdir / "pseudo.manifest")
                 pseudo_count = pseudo.count
-                examples = strong_examples + dataset_examples(pseudo_ds)
+                examples = labelled + dataset_examples(pseudo_ds)
                 base = models[0]
 
             train_cfg = replace(cfg.train_cfg, seed=cfg.train_cfg.seed + r)
@@ -224,18 +213,14 @@ def run_pipeline(
                     f_measure=report.f_measure,
                     pseudo_count=pseudo_count,
                     model_path=str(model_path),
-                    wall_time=time.perf_counter() - started,
                 )
             )
     except TextBootError as exc:
-        incomplete = True
         failure = f"{type(exc).__name__}: {exc}"
 
     best = best_round_index(reports)
     _write_run_metrics(run_dir, reports, best)
-    return RunResult(
-        reports=tuple(reports), best_round=best, incomplete=incomplete, failure=failure
-    )
+    return RunResult(reports=tuple(reports), best_round=best, failure=failure)
 
 
 def cross_domain_annotate(
@@ -243,7 +228,7 @@ def cross_domain_annotate(
     target_pool: Dataset,
     out: Path | str,
     strategy: Provenance = Provenance.LOCAL,
-    strategy_cfg: StrategyConfig | None = None,
+    strategy_cfg: StrategyConfig = StrategyConfig(),
     round_index: int = 0,
     jobs: int = 1,
 ) -> PseudoSet:

@@ -109,7 +109,7 @@ def annotate_pool(
     model,
     pool: Dataset,
     strategy: Provenance,
-    cfg: StrategyConfig | None = None,
+    cfg: StrategyConfig = StrategyConfig(),
     round_index: int = 0,
     jobs: int = 1,
 ) -> PseudoSet:
@@ -120,7 +120,6 @@ def annotate_pool(
     :func:`~textboot.data.read_image`; ``jobs`` > 1 processes images
     concurrently without changing the output.
     """
-    cfg = cfg or StrategyConfig()
     require_tier(pool, _ALLOWED_TIERS[strategy], f"{strategy.value} strategy")
 
     def one(rec: AnnotationRecord) -> tuple[str, tuple[Detection, ...]]:

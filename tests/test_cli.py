@@ -216,12 +216,6 @@ def test_run_with_a_bad_pool_manifest_names_it(cli_world, tmp_path, capsys):
     assert f"error: {pool}: line 2: bad number 'x'" in capsys.readouterr().err
 
 
-def test_run_root_env_override(cli_world, tmp_path, monkeypatch):
-    monkeypatch.setenv("TEXTBOOT_RUN_ROOT", str(tmp_path / "runs"))
-    assert main(_run_args(cli_world, Path("exp1"), rounds="0")) == 0
-    assert (tmp_path / "runs" / "exp1" / "metrics.txt").exists()
-
-
 def test_usage_errors_exit_two(cli_world, tmp_path):
     assert main(["run", "--strategy", "bogus"]) == 2
     assert main(["bogus-command"]) == 2

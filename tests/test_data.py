@@ -191,6 +191,19 @@ def test_manifest_errors(tmp_path):
         load_dataset(m)
 
 
+def test_manifest_tier_errors_name_file_and_line(tmp_path):
+    make_image(tmp_path, "a.pgm")
+    m = tmp_path / "m.manifest"
+    for tokens, why in (
+        ("scores=0.5\t0,0,4,4", "a: scores only belong to STRONG records"),
+        ("0,0,4,0,4,4,0,4", "a: WEAK record carries polygons"),
+    ):
+        m.write_text(f"#manifest width=16 height=16\n\na\ta.pgm\tWEAK\t{tokens}\n")
+        with pytest.raises(TierError) as ei:
+            load_dataset(m)
+        assert str(ei.value) == f"{m}: line 3: {why}"
+
+
 def test_manifest_that_is_not_utf8_names_file_and_line(tmp_path):
     make_image(tmp_path, "a.pgm")
     m = tmp_path / "bad.manifest"
@@ -281,7 +294,7 @@ def test_scene_spec_validation():
     with pytest.raises(ValueError):
         SceneSpec(n_images=0)
     with pytest.raises(ValueError):
-        SceneSpec(n_images=1, curvature=(0.5, 0.1))
+        SceneSpec(n_images=1, ribbon_lift=(90.0, 50.0))
     with pytest.raises(ValueError):
         SceneSpec(n_images=1, noise_level=1.5)
 

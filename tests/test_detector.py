@@ -1,13 +1,16 @@
 """Tests for the patch-logistic detector: training, inference, serialization."""
 
+import struct
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from textboot.data import AnnotationTier, SceneSpec, generate_synthetic, read_pgm
 from textboot.detector import (
+    _HEADER,
     DetectorModel,
     TrainConfig,
     TrainExample,
@@ -107,8 +110,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(score_threshold_for_proposals=1.0)
     with pytest.raises(ValueError):
         TrainConfig(patch_radius=0)
     with pytest.raises(ValueError):
@@ -360,9 +361,11 @@ def test_mask_for_full_image_box_equals_thresholded_map(easy_world):
     _, examples, model = easy_world
     ex = examples[8]
     h, w = ex.image.shape
-    got = model.mask_for_box(ex.image, AxisRect(0, 0, w, h))
-    expect = model.prob_map(ex.image) >= 0.5
-    assert np.array_equal(got.pixels, expect)
+    for threshold in (model.score_threshold, 0.8):  # LOCAL uses the model's own threshold
+        m = replace(model, score_threshold=threshold)
+        got = m.mask_for_box(ex.image, AxisRect(0, 0, w, h))
+        expect = m.prob_map(ex.image) >= threshold
+        assert np.array_equal(got.pixels, expect), threshold
 
 
 def test_mask_for_box_stays_inside_box(easy_world):
@@ -506,6 +509,34 @@ def test_load_rejects_corrupt_files(easy_world, tmp_path):
     padded.write_bytes(blob + b"\x00" * 8)
     with pytest.raises(ModelFormatError):
         load_model(padded)
+
+
+def test_load_names_the_file_of_a_header_the_model_refuses(easy_world, tmp_path):
+    """Thresholds out of range and non-finite parameters fail as a
+    ModelFormatError naming the file, not as a model that detects nothing."""
+    _, _, model = easy_world
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    blob = path.read_bytes()
+    header, params = list(_HEADER.unpack(blob[: _HEADER.size])), blob[_HEADER.size :]
+
+    def with_field(i, value):  # header field 3 is score_threshold, 4 min_component_pixels
+        return _HEADER.pack(*header[:i], value, *header[i + 1 :]) + params
+
+    nan = float("nan")
+    cases = [with_field(3, 2.0), with_field(3, nan), with_field(3, 0.0), with_field(4, 0)]
+    cases.append(blob[:-8] + struct.pack("<d", nan))  # the bias
+    for i, content in enumerate(cases):
+        bad = tmp_path / f"bad{i}.bin"
+        bad.write_bytes(content)
+        with pytest.raises(ModelFormatError) as ei:
+            load_model(bad)
+        assert str(ei.value).startswith(f"{bad}: ")
+    assert str(ei.value) == f"{bad}: model parameters must be finite"
+    with pytest.raises(ValueError):
+        replace(model, score_threshold=1.0)
+    with pytest.raises(ValueError):
+        replace(model, min_component_pixels=0)
 
 
 def test_model_validates_parameter_count():

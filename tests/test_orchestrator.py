@@ -46,7 +46,6 @@ def _report(i, f):
         f_measure=f,
         pseudo_count=0,
         model_path="",
-        wall_time=0.0,
     )
 
 
