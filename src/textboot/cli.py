@@ -122,7 +122,7 @@ def cmd_run(args) -> int:
         "tool_version": __version__,
         "config": {
             "strategy": cfg.strategy.value,
-            "rounds": cfg.rounds,
+            "rounds": cfg.planned_rounds,
             "strategy_cfg": asdict(cfg.strategy_cfg),
             "train_cfg": asdict(cfg.train_cfg),
             "eval_iou": cfg.eval_cfg.iou_threshold,
@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="pixel-annotated test manifest")
     p.add_argument("--out", required=True, help="run directory; created if missing")
     p.add_argument("--strategy", choices=_choices(Strategy), required=True)
-    p.add_argument("--rounds", type=int, default=pipeline.rounds)
+    p.add_argument("--rounds", type=int, default=pipeline.rounds,
+                   help="rounds after the baseline; no effect on fully, which trains round 0 only")
     p.add_argument("--seed", type=int, default=training.seed,
                    help="training seed of round 0; round r trains with seed + r")
     p.add_argument("--epochs", type=int, default=training.epochs)

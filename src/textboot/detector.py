@@ -30,6 +30,9 @@ from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, mask_bbox
 # (the symmetric point of the BCE loss), and a proposal needs 8 such pixels.
 SCORE_THRESHOLD = 0.5
 MIN_COMPONENT_PIXELS = 8
+# Image rows per feature block: every block starts at a pixel index divisible
+# by 8, so BLAS gives each row the bytes of a one-thread whole-image product.
+_BLOCK_ROWS = 8
 
 _MAGIC = b"TXBM"
 _VERSION = 1
@@ -80,20 +83,35 @@ class TrainExample:
         return out
 
 
-def patch_features(image: np.ndarray, radius: int) -> np.ndarray:
-    """Per-pixel feature rows, shape (H*W, (2r+1)^2 + 2), float32 in ~[0,1]."""
+def patch_features(image: np.ndarray, radius: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-pixel feature rows (H*W, (2r+1)^2 + 2) in ~[0,1]: ``out`` if given, else new float32."""
+    win = _windows(image, radius)
+    h, w = win.shape[:2]
+    out = np.empty((h * w, feature_dim(radius)), dtype=np.float32) if out is None else out
+    for r0 in range(0, h, _BLOCK_ROWS):
+        _fill_features(win[r0 : r0 + _BLOCK_ROWS], out[r0 * w : (r0 + _BLOCK_ROWS) * w])
+    return out
+
+
+def _windows(image: np.ndarray, radius: int) -> np.ndarray:
+    """Windows of the edge-padded image in [0, 1], shape (H, W, 2r+1, 2r+1)."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError(f"image must be 2-d, got shape {img.shape}")
     k = 2 * radius + 1
-    scaled = img.astype(np.float32) / 255.0
-    padded = np.pad(scaled, radius, mode="edge")
-    win = sliding_window_view(padded, (k, k))
-    raw = win.reshape(img.shape[0], img.shape[1], k * k)
-    mean = raw.mean(axis=2, dtype=np.float32)
-    var = raw.var(axis=2, dtype=np.float32)
-    feats = np.concatenate([raw, mean[..., None], 4.0 * var[..., None]], axis=2)
-    return feats.reshape(-1, k * k + 2)
+    return sliding_window_view(np.pad(img.astype(np.float32) / 255.0, radius, mode="edge"), (k, k))
+
+
+def _fill_features(win: np.ndarray, out: np.ndarray) -> None:
+    """Write the features of windows (rows, W, k, k) into ``out``, computed in float32."""
+    kk = win.shape[2] * win.shape[3]
+    raw = win.reshape(-1, kk)
+    mean = raw.mean(axis=1, dtype=np.float32)
+    dev = raw - mean[:, None]  # ndarray.var's own steps, reusing the mean
+    dev *= dev
+    out[:, :kk] = raw
+    out[:, kk] = mean
+    out[:, kk + 1] = 4.0 * dev.mean(axis=1, dtype=np.float32)
 
 
 def feature_dim(radius: int) -> int:
@@ -141,10 +159,18 @@ class DetectorModel:
         object.__setattr__(self, "weights", w)
 
     def prob_map(self, image: np.ndarray) -> np.ndarray:
-        """Per-pixel text probability, float64, same shape as the image."""
-        X = patch_features(image, self.patch_radius)
-        z = X @ self.weights + self.bias
-        return _sigmoid(z).reshape(np.asarray(image).shape)
+        """Per-pixel text probability, float64, same shape as the image.
+
+        Features are made in float64, ``_BLOCK_ROWS`` image rows at a time.
+        """
+        win = _windows(image, self.patch_radius)
+        h, w = win.shape[:2]
+        z, block = np.empty(h * w), np.empty((_BLOCK_ROWS * w, self.weights.size))
+        for r0 in range(0, h, _BLOCK_ROWS):
+            n = w * min(_BLOCK_ROWS, h - r0)
+            _fill_features(win[r0 : r0 + _BLOCK_ROWS], block[:n])
+            z[r0 * w : r0 * w + n] = block[:n] @ self.weights
+        return _sigmoid(z + self.bias).reshape(h, w)
 
     def detect(self, image: np.ndarray) -> list[Detection]:
         """Threshold + connected components; sorted by descending score."""
@@ -221,7 +247,7 @@ def train(
     X = np.empty((sum(ex.image.size for ex in examples), feature_dim(radius)), dtype=np.float32)
     row = 0
     for ex in examples:
-        X[row : row + ex.image.size] = patch_features(ex.image, radius)
+        patch_features(ex.image, radius, out=X[row : row + ex.image.size])
         row += ex.image.size
     y = np.concatenate([ex.label_map().reshape(-1) for ex in examples]).astype(np.float64)
 

@@ -120,23 +120,18 @@ def _check_simple(verts: tuple[Point, ...]) -> None:
     if np.any(np.all(p == q, axis=1)):
         raise ValueError("polygon has a zero-length edge")
 
-    d = q - p
+    px, py = p[:, :1], p[:, 1:]  # column vectors: edge i starts at (px[i], py[i])
+    dx, dy = q[:, :1] - px, q[:, 1:] - py
+    # o1[i, j], o2[i, j]: cross(d[i], p[j] - p[i]) and cross(d[i], q[j] - p[i])
+    o1 = dx * (p[:, 1] - py) - dy * (p[:, 0] - px)
+    o2 = dx * (q[:, 1] - py) - dy * (q[:, 0] - px)
 
-    def orient(a_p, a_d, b):
-        # sign of cross(a_d, b - a_p) for every (edge, point) pair
-        rel = b[None, :, :] - a_p[:, None, :]
-        return a_d[:, None, 0] * rel[:, :, 1] - a_d[:, None, 1] * rel[:, :, 0]
-
-    o1 = orient(p, d, p)  # o1[i, j]: p[j] relative to edge i
-    o2 = orient(p, d, q)  # o2[i, j]: q[j] relative to edge i
-
-    i_idx, j_idx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    gap = (j_idx - i_idx) % n
+    gap = (np.arange(n) - np.arange(n)[:, None]) % n
     nonadjacent = (gap != 0) & (gap != 1) & (gap != n - 1)
 
     # Proper crossing: each segment's endpoints strictly straddle the other.
-    straddle = (o1[i_idx, j_idx] * o2[i_idx, j_idx] < 0) & (o1[j_idx, i_idx] * o2[j_idx, i_idx] < 0)
-    if np.any(straddle & nonadjacent):
+    split = o1 * o2 < 0
+    if np.any(split & split.T & nonadjacent):
         raise ValueError("polygon edges cross")
 
 

@@ -49,6 +49,10 @@ class PipelineConfig:
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
 
+    @property
+    def planned_rounds(self) -> int:  # after round 0; FULLY has only round 0
+        return 0 if self.strategy is Strategy.FULLY else self.rounds
+
 
 @dataclass(frozen=True)
 class RoundReport:
@@ -174,12 +178,11 @@ def run_pipeline(
     failure = None
     try:
         labelled = dataset_examples(strong)
-        rounds = cfg.rounds
         if cfg.strategy is Strategy.FULLY:
             require_tier(pool, (AnnotationTier.STRONG,), "the upper-bound setting")
-            labelled, rounds = labelled + dataset_examples(pool), 0
+            labelled = labelled + dataset_examples(pool)
 
-        for r in range(rounds + 1):
+        for r in range(cfg.planned_rounds + 1):
             rdir = _round_dir(run_dir, r)
             examples, base, pseudo_count = labelled, None, 0
             if r > 0:

@@ -159,6 +159,20 @@ def test_run_local_full_artifacts_and_manifest(cli_world, tmp_path, capsys):
     assert man["artifacts"] == {k: v for k, v in _hash_tree(run).items() if k != "run_manifest.json"}
 
 
+def test_run_fully_records_only_the_round_it_trains(cli_world, tmp_path, capsys):
+    root = cli_world
+    assert main(["split", str(root / "train" / "dataset.manifest"),
+                 "--out", str(tmp_path / "ssplit"), "--strong-fraction", "0.25",
+                 "--seed", "3", "--downgrade", "strong"]) == 0
+    args = _run_args(root, tmp_path / "run", strategy="fully", rounds="3")
+    args[args.index("--pool") + 1] = str(tmp_path / "ssplit" / "rest.manifest")
+    assert main(args) == 0
+    man = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert man["config"]["rounds"] == 0
+    assert [r["round"] for r in man["rounds"]] == [0]
+    assert "round 1:" not in capsys.readouterr().out
+
+
 def test_run_filter_on_none_pool_fails_with_diagnostic(cli_world, tmp_path, capsys):
     root = cli_world
     assert main(["split", str(root / "train" / "dataset.manifest"),

@@ -1,13 +1,19 @@
 """Tests for the patch-logistic detector: training, inference, serialization."""
 
+import hashlib
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+import textboot
 from textboot.data import AnnotationTier, SceneSpec, generate_synthetic, read_pgm
 from textboot.detector import (
     _HEADER,
@@ -100,6 +106,97 @@ def test_patch_features_constant_image_has_zero_variance():
     X = patch_features(img, radius=2)
     np.testing.assert_allclose(X[:, -1], 0.0, atol=1e-7)
     np.testing.assert_allclose(X[:, :-2], 130 / 255.0, atol=1e-7)
+
+
+def _whole_image_features(image, radius):
+    """The whole-image feature path that the blocked one replaced: one
+    float32 matrix, with the variance from ``ndarray.var``."""
+    k = 2 * radius + 1
+    padded = np.pad(image.astype(np.float32) / 255.0, radius, mode="edge")
+    raw = sliding_window_view(padded, (k, k)).reshape(image.shape[0], image.shape[1], k * k)
+    mean = raw.mean(axis=2, dtype=np.float32)
+    var = raw.var(axis=2, dtype=np.float32)
+    feats = np.concatenate([raw, mean[..., None], 4.0 * var[..., None]], axis=2)
+    return feats.reshape(-1, k * k + 2)
+
+
+def _whole_image_prob_map(model, image):
+    z = _whole_image_features(image, model.patch_radius) @ model.weights + model.bias
+    return _sigmoid(z).reshape(image.shape)
+
+
+def _random_model(rng, radius, scale=1.0):
+    return DetectorModel(
+        weights=rng.normal(0.0, scale, feature_dim(radius)), bias=float(rng.normal(0.0, scale)),
+        patch_radius=radius, score_threshold=0.5, min_component_pixels=8,
+        rounds_seen=0, epochs_trained=1, seed=0,
+    )
+
+
+# Odd widths, one-row-block heights and an image smaller than one block.
+FEATURE_SHAPES = ((37, 53), (81, 79), (100, 3), (3, 100), (16, 16), (9, 80), (7, 5))
+
+
+def assert_features_match_the_whole_image_path(root):
+    """Bytes of ``patch_features`` and ``prob_map`` against the whole-image
+    path, on a synthetic 80x80 world and on random images of odd shapes.
+    Returns a digest of every probability map."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(23)
+    ds = generate_synthetic(SceneSpec(n_images=3, seed=5), root)
+    images = [read_pgm(root / rec.image_path) for rec in ds.records]
+    images += [rng.integers(0, 256, shape, dtype=np.uint8) for shape in FEATURE_SHAPES]
+    for image in images:
+        for radius in (1, 2, 3):
+            want = _whole_image_features(image, radius)
+            assert patch_features(image, radius).tobytes() == want.tobytes(), (image.shape, radius)
+            for scale in (0.1, 1.0, 10.0):
+                model = _random_model(rng, radius, scale)
+                got = model.prob_map(image)
+                want = _whole_image_prob_map(model, image)
+                assert got.tobytes() == want.tobytes(), (image.shape, radius, scale)
+                digest.update(got.tobytes())
+    return digest.hexdigest()
+
+
+def test_blocked_features_match_the_whole_image_path_bit_for_bit(tmp_path):
+    assert_features_match_the_whole_image_path(tmp_path)
+
+
+def test_blocked_features_match_bit_for_bit_on_one_blas_thread(tmp_path):
+    """Also checks that the maps do not depend on the BLAS thread count."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(textboot.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, repo]))
+    code = (
+        "import pathlib, sys\n"
+        "from tests.test_detector import assert_features_match_the_whole_image_path as check\n"
+        "print(check(pathlib.Path(sys.argv[1])))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "one")],
+        cwd=repo, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == assert_features_match_the_whole_image_path(tmp_path / "default")
+
+
+@pytest.mark.parametrize(
+    "shape, bound", [((80, 80), 0.5), ((200, 300), 0.25)], ids=["80x80", "200x300"]
+)
+def test_prob_map_peak_memory_is_a_fraction_of_the_feature_matrix(shape, bound):
+    radius = TrainConfig().patch_radius
+    rng = np.random.default_rng(31)
+    image = rng.integers(0, 256, shape, dtype=np.uint8)
+    model = _random_model(rng, radius)
+    x_bytes = image.size * feature_dim(radius) * 8  # the float64 feature matrix
+    tracemalloc.start()
+    try:
+        model.prob_map(image)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * x_bytes, f"peak {peak} B is {peak / x_bytes:.2f}x the feature matrix"
 
 
 # --- config / example validation --------------------------------------------

@@ -9,6 +9,7 @@ from textboot.geometry import (
     Detection,
     Point,
     Polygon,
+    _check_simple,
     mask_bbox,
     mask_iou,
     mask_to_polygon,
@@ -89,6 +90,58 @@ def test_polygon_rejects_bad_rings():
         Polygon.from_pairs([(0, 0), (2, 2), (2, 0), (0, 2)])
     with pytest.raises(ValueError):
         Point(float("nan"), 0.0)
+
+
+def meshgrid_check_simple(verts):
+    """The n x n form of the simplicity check: (n, n, 2) offset arrays and
+    meshgrid fancy-index gathers of both orientation tables."""
+    n = len(verts)
+    p = np.array([(v.x, v.y) for v in verts], dtype=float)
+    q = np.roll(p, -1, axis=0)
+    if np.any(np.all(p == q, axis=1)):
+        raise ValueError("polygon has a zero-length edge")
+    d = q - p
+
+    def orient(a_p, a_d, b):
+        rel = b[None, :, :] - a_p[:, None, :]
+        return a_d[:, None, 0] * rel[:, :, 1] - a_d[:, None, 1] * rel[:, :, 0]
+
+    o1, o2 = orient(p, d, p), orient(p, d, q)
+    i_idx, j_idx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    gap = (j_idx - i_idx) % n
+    nonadjacent = (gap != 0) & (gap != 1) & (gap != n - 1)
+    straddle = (o1[i_idx, j_idx] * o2[i_idx, j_idx] < 0) & (o1[j_idx, i_idx] * o2[j_idx, i_idx] < 0)
+    if np.any(straddle & nonadjacent):
+        raise ValueError("polygon edges cross")
+
+
+def _verdict(check, verts):
+    try:
+        check(verts)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_check_simple_matches_the_meshgrid_oracle():
+    """Free float rings, and rings on a 4x4 integer grid, where touching
+    corners, collinear (overlapping) edges and zero-length edges are common."""
+    rng = np.random.default_rng(17)
+    seen = dict.fromkeys(
+        ("simple", "polygon edges cross", "polygon has a zero-length edge",
+         "touching corner", "collinear edges"), 0
+    )
+    for i in range(12_000):
+        n = int(rng.integers(3, 10))
+        pairs = rng.integers(0, 4, (n, 2)) if i % 2 else rng.uniform(-5.0, 5.0, (n, 2))
+        verts = tuple(Point(float(x), float(y)) for x, y in pairs)
+        got = _verdict(_check_simple, verts)
+        assert got == _verdict(meshgrid_check_simple, verts), pairs.tolist()
+        seen[got or "simple"] += 1
+        seen["touching corner"] += got is None and len({tuple(v) for v in pairs.tolist()}) < n
+        (ax, ay), (bx, by) = (np.roll(pairs, -1, 0) - pairs).T, (np.roll(pairs, -2, 0) - pairs).T
+        seen["collinear edges"] += bool(np.any(ax * by - ay * bx == 0))
+    assert min(seen.values()) >= 100, seen
 
 
 def test_axis_rect_validation():

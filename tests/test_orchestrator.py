@@ -134,6 +134,12 @@ def test_fully_trains_once_with_no_pseudo(world, tmp_path):
     assert result.best_round == 0
 
 
+def test_planned_rounds_are_zero_for_fully_only():
+    assert PipelineConfig(strategy=Strategy.FULLY, rounds=3).planned_rounds == 0
+    for strategy in (Strategy.NAIVE, Strategy.FILTER, Strategy.LOCAL):
+        assert PipelineConfig(strategy=strategy, rounds=3).planned_rounds == 3
+
+
 def test_fully_rejects_weak_pool(world, tmp_path):
     _, strong, weak_pool, _, test_ds = world
     cfg = PipelineConfig(strategy=Strategy.FULLY, train_cfg=FAST)
