@@ -6,7 +6,8 @@ its flags and seeds and never mutates its inputs; ``run`` additionally
 writes a run_manifest.json recording the tool version, the full config,
 and SHA-256 hashes of the input manifests and of every other file in the
 run directory, so a run can be re-verified byte for byte.  ``run --out``
-names the run directory, relative to the working directory unless absolute.
+names the run directory, relative to the working directory unless absolute,
+and must be empty or missing.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from .data import (
     SceneSpec,
     generate_synthetic,
     load_dataset,
+    read_pgm,
     record_masks,
     require_tier,
     save_dataset,
     split_dataset,
 )
 from .detector import TrainConfig
-from .errors import TextBootError, UnknownImageError
+from .errors import ImageError, TextBootError, UnknownImageError
 from .evaluation import EvalConfig, evaluate
 from .geometry import Detection, Polygon, mask_bbox
 from .orchestrator import PipelineConfig, Strategy, cross_domain_annotate, run_pipeline
@@ -64,9 +66,6 @@ def cmd_synth(args) -> int:
         n_images=args.n_images,
         width=args.width,
         height=args.height,
-        instances_per_image=(args.instances_min, args.instances_max),
-        stroke_width=(args.stroke_min, args.stroke_max),
-        noise_level=args.noise_level,
         seed=args.seed,
         prefix=args.prefix,
     )
@@ -207,7 +206,6 @@ def cmd_annotate(args) -> int:
         Path(args.out),
         Provenance[args.strategy.upper()],
         _strategy_cfg(args),
-        round_index=args.round_index,
         jobs=args.jobs,
     )
     print(f"annotated {len(pool.records)} images: {pseudo.count} pseudo instances -> {args.out}")
@@ -222,15 +220,20 @@ def cmd_convert(args) -> int:
 
     Expects one text file per image named <image stem>.txt, each line one
     polygon as comma-separated x,y coordinates; images without a dump file
-    become empty pixel-tier records.
+    become empty pixel-tier records.  The manifest's frame is the first
+    image's size, and every other image must have it.
     """
     images_dir = Path(args.images)
     ann_dir = Path(args.annotations)
     image_files = sorted(images_dir.glob("*.pgm"))
     if not image_files:
         raise TextBootError(f"no .pgm images found under {images_dir}")
+    h, w = read_pgm(image_files[0]).shape
     records = []
     for img in image_files:
+        ih, iw = read_pgm(img).shape
+        if (ih, iw) != (h, w):
+            raise ImageError(f"{img} is {iw}x{ih}, but {image_files[0]} is {w}x{h}")
         polys = []
         dump = ann_dir / f"{img.stem}.txt"
         if dump.exists():
@@ -253,7 +256,7 @@ def cmd_convert(args) -> int:
                 polygons=tuple(polys),
             )
         )
-    ds = Dataset(records=tuple(records), image_width=args.width, image_height=args.height)
+    ds = Dataset(records=tuple(records), image_width=w, image_height=h)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out)
@@ -291,11 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-images", type=int, required=True)
     p.add_argument("--width", type=int, default=scene.width)
     p.add_argument("--height", type=int, default=scene.height)
-    p.add_argument("--instances-min", type=int, default=scene.instances_per_image[0])
-    p.add_argument("--instances-max", type=int, default=scene.instances_per_image[1])
-    p.add_argument("--stroke-min", type=int, default=scene.stroke_width[0])
-    p.add_argument("--stroke-max", type=int, default=scene.stroke_width[1])
-    p.add_argument("--noise-level", type=float, default=scene.noise_level)
     p.add_argument("--seed", type=int, default=scene.seed)
     p.add_argument("--prefix", default=scene.prefix)
     p.set_defaults(func=cmd_synth)
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", required=True, help="pixel-annotated training manifest")
     p.add_argument("--pool", required=True, help="weak/unlabeled pool manifest")
     p.add_argument("--test", required=True, help="pixel-annotated test manifest")
-    p.add_argument("--out", required=True, help="run directory; created if missing")
+    p.add_argument("--out", required=True, help="run directory; created if missing, must be empty")
     p.add_argument("--strategy", choices=_choices(Strategy), required=True)
     p.add_argument("--rounds", type=int, default=pipeline.rounds,
                    help="rounds after the baseline; no effect on fully, which trains round 0 only")
@@ -339,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--strategy", choices=_choices(Provenance), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--round-index", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     _add_strategy_flags(p)
     p.set_defaults(func=cmd_annotate)
@@ -347,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert per-image polygon dumps to a manifest")
     p.add_argument("--images", required=True, help="directory of .pgm images")
     p.add_argument("--annotations", required=True, help="directory of <stem>.txt dumps")
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_convert)
 
@@ -376,3 +371,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -349,18 +349,18 @@ def read_image(d: Dataset, r: AnnotationRecord) -> np.ndarray:
     return image
 
 
-def downgrade_to_weak(r: AnnotationRecord) -> AnnotationRecord:
-    """Replace each polygon by its bounding rectangle; order preserved."""
-    if r.tier is not AnnotationTier.STRONG:
-        raise TierError(f"{r.image_id}: can only downgrade STRONG records, got {r.tier.value}")
-    rects = tuple(p.bounding_box() for p in r.polygons)
-    return AnnotationRecord(r.image_id, r.image_path, AnnotationTier.WEAK, rects=rects)
+_DOWNGRADES = (AnnotationTier.WEAK, AnnotationTier.NONE)
 
 
-def _strip_to_none(r: AnnotationRecord) -> AnnotationRecord:
+def downgrade_record(r: AnnotationRecord, tier: AnnotationTier) -> AnnotationRecord:
+    """A STRONG record at ``tier``: WEAK replaces each polygon by its
+    bounding rectangle, order preserved; NONE drops the geometry."""
+    if tier not in _DOWNGRADES:
+        raise ValueError(f"downgrade must be WEAK or NONE, got {tier}")
     if r.tier is not AnnotationTier.STRONG:
         raise TierError(f"{r.image_id}: can only downgrade STRONG records, got {r.tier.value}")
-    return AnnotationRecord(r.image_id, r.image_path, AnnotationTier.NONE)
+    rects = tuple(p.bounding_box() for p in r.polygons) if tier is AnnotationTier.WEAK else ()
+    return AnnotationRecord(r.image_id, r.image_path, tier, rects=rects)
 
 
 def split_dataset(
@@ -380,24 +380,19 @@ def split_dataset(
         raise EmptyDatasetError("cannot split an empty dataset")
     if not 0.0 < strong_fraction < 1.0:
         raise ValueError(f"strong_fraction must lie strictly between 0 and 1, got {strong_fraction}")
+    if downgrade is not None and downgrade not in _DOWNGRADES:
+        raise ValueError(f"downgrade must be WEAK, NONE or None, got {downgrade}")
     rng = np.random.default_rng(seed)
     n = len(d.records)
     n_strong = int(round(strong_fraction * n))
     picked = rng.permutation(n)[:n_strong]
     strong_idx = set(int(i) for i in picked)
     strong = [r for i, r in enumerate(d.records) if i in strong_idx]
-    rest = []
-    for i, r in enumerate(d.records):
-        if i in strong_idx:
-            continue
-        if downgrade is None:
-            rest.append(r)
-        elif downgrade is AnnotationTier.WEAK:
-            rest.append(downgrade_to_weak(r))
-        elif downgrade is AnnotationTier.NONE:
-            rest.append(_strip_to_none(r))
-        else:
-            raise ValueError(f"downgrade must be WEAK, NONE or None, got {downgrade}")
+    rest = [
+        r if downgrade is None else downgrade_record(r, downgrade)
+        for i, r in enumerate(d.records)
+        if i not in strong_idx
+    ]
     return (
         Dataset(tuple(strong), d.image_width, d.image_height),
         Dataset(tuple(rest), d.image_width, d.image_height),

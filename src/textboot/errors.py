@@ -60,6 +60,3 @@ class UnknownImageError(TextBootError):
 class DisjointnessError(TextBootError):
     """Strong, pool, and test datasets must not share image ids."""
 
-
-class TooManyInstancesError(TextBootError):
-    """Exhaustive matching is capped at a small instance count."""

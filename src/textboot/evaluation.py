@@ -7,9 +7,7 @@ threshold.  IoU is the overlap of a detection's mask with a truth
 polygon's pixels, because curved-text benchmarks (CTW1500, Total-Text)
 score polygons, not boxes.  Detections that claim nothing are false
 positives, leftover truths are false negatives, and images aggregate by
-summing counts before dividing (micro-averaging).  A brute-force
-assignment maximizer is provided purely as a test oracle to bound the
-greedy matcher.
+summing counts before dividing (micro-averaging).
 """
 
 from __future__ import annotations
@@ -20,10 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AnnotationTier, Dataset, record_masks, require_tier
-from .errors import DimensionMismatchError, TooManyInstancesError, UnknownImageError
+from .errors import DimensionMismatchError, UnknownImageError
 from .geometry import Detection, mask_iou
-
-BRUTE_FORCE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -97,28 +93,6 @@ def greedy_match(iou: np.ndarray, threshold: float) -> tuple[int, int, int]:
         if row[j] >= threshold:
             taken[j] = True
             tp += 1
-    return tp, n_det - tp, n_truth - tp
-
-
-def brute_force_match(iou: np.ndarray, threshold: float) -> tuple[int, int, int]:
-    """Exhaustive one-to-one assignment maximizing TP; test oracle only."""
-    iou = np.asarray(iou, dtype=float)
-    n_det, n_truth = iou.shape if iou.ndim == 2 else (0, 0)
-    if n_det > BRUTE_FORCE_CAP or n_truth > BRUTE_FORCE_CAP:
-        raise TooManyInstancesError(
-            f"brute force capped at {BRUTE_FORCE_CAP} instances, got {n_det}x{n_truth}"
-        )
-
-    def best(i: int, used: int) -> int:
-        if i == n_det:
-            return 0
-        score = best(i + 1, used)  # leave detection i unmatched
-        for j in range(n_truth):
-            if not used & (1 << j) and iou[i, j] >= threshold:
-                score = max(score, 1 + best(i + 1, used | (1 << j)))
-        return score
-
-    tp = best(0, 0)
     return tp, n_det - tp, n_truth - tp
 
 

@@ -150,14 +150,6 @@ class BitMask:
         object.__setattr__(self, "pixels", px)
 
     @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
     def count(self) -> int:
         return int(np.count_nonzero(self.pixels))
 
@@ -187,16 +179,6 @@ class Detection:
                 or tight.y_max > math.ceil(self.box.y_max)
             ):
                 raise ValueError("detection mask has set pixels outside its box")
-
-
-def polygon_area(p: Polygon) -> float:
-    """Shoelace area, always non-negative."""
-    acc = 0.0
-    verts = p.vertices
-    for i, a in enumerate(verts):
-        b = verts[(i + 1) % len(verts)]
-        acc += a.x * b.y - b.x * a.y
-    return abs(acc) / 2.0
 
 
 def rect_iou(a: AxisRect, b: AxisRect) -> float:

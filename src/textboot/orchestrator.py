@@ -165,12 +165,16 @@ def run_pipeline(
     training, tier misuse) stops the run and returns the rounds finished
     so far, with the error as ``failure``; programming errors propagate.
     ``best_round`` is -1 when not even the baseline round finished.
+    A ``run_dir`` that already holds files is refused before anything is
+    written, so no artifact of an earlier run passes for this one's.
     """
     if not strong.records:
         raise EmptyDatasetError("the pixel-annotated training split is empty")
     _check_dims(strong, pool, test)
     _check_disjoint(strong, pool, test)
     run_dir = Path(run_dir)
+    if run_dir.is_dir() and any(run_dir.iterdir()):
+        raise TextBootError(f"run directory {run_dir} is not empty")
     run_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[RoundReport] = []
@@ -232,7 +236,6 @@ def cross_domain_annotate(
     out: Path | str,
     strategy: Provenance = Provenance.LOCAL,
     strategy_cfg: StrategyConfig = StrategyConfig(),
-    round_index: int = 0,
     jobs: int = 1,
 ) -> PseudoSet:
     """Annotate a pool, possibly of a new domain, with an already-trained model.
@@ -241,10 +244,7 @@ def cross_domain_annotate(
     writes the result as a pixel-annotated manifest at ``out``, ready to
     train on.
     """
-    pseudo = annotate_pool(
-        load_model(model_path), target_pool, strategy, strategy_cfg,
-        round_index=round_index, jobs=jobs,
-    )
+    pseudo = annotate_pool(load_model(model_path), target_pool, strategy, strategy_cfg, jobs=jobs)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(pseudo_to_dataset(target_pool, pseudo), out)

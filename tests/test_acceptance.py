@@ -27,19 +27,13 @@ from textboot.data import (
     split_dataset,
 )
 from textboot.detector import TrainConfig, load_model, train
-from textboot.evaluation import (
-    EvalConfig,
-    brute_force_match,
-    evaluate,
-    greedy_match,
-)
+from textboot.evaluation import EvalConfig, evaluate, greedy_match
 from textboot.geometry import (
     AxisRect,
     BitMask,
     Detection,
     Polygon,
     mask_iou,
-    polygon_area,
     rasterize,
     rect_iou,
 )
@@ -56,6 +50,7 @@ from textboot.strategies import (
     local_generate,
     naive_select,
 )
+from tests.oracles import brute_force_match, polygon_area
 
 
 def _announce(name: str, detail: str) -> None:

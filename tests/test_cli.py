@@ -3,12 +3,16 @@
 import argparse
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import textboot
 from textboot.cli import build_parser, main
 from textboot.data import (
     AnnotationTier,
@@ -63,6 +67,19 @@ def test_synth_writes_manifest_and_is_deterministic(tmp_path, capsys):
     assert a and a == b
     ds = load_dataset(tmp_path / "a" / "dataset.manifest")
     assert len(ds.records) == 4 and ds.image_width == 48 and ds.image_height == 40
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = str(Path(textboot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "textboot.cli", "synth", "--out", str(tmp_path / "w"),
+         "--n-images", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "wrote 2 images" in proc.stdout
+    assert len(load_dataset(tmp_path / "w" / "dataset.manifest").records) == 2
 
 
 def test_synth_unwritable_out_dir(tmp_path, capsys):
@@ -206,6 +223,20 @@ def test_run_with_a_wrong_size_image_is_marked_incomplete(cli_world, tmp_path, c
     assert (tmp_path / "run" / "metrics.txt").read_text() == "best_round=-1\n"
 
 
+def test_run_refuses_a_non_empty_run_directory(cli_world, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(_run_args(cli_world, run, rounds="2")) == 0
+    before = _hash_tree(run)
+    assert {"round_001/model.bin", "round_002/model.bin"} <= set(before)
+    capsys.readouterr()
+    assert main(_run_args(cli_world, run, rounds="0")) == 1
+    assert capsys.readouterr().err == f"error: run directory {run} is not empty\n"
+    assert _hash_tree(run) == before
+    # an existing empty directory is still a fresh run directory
+    (tmp_path / "empty").mkdir()
+    assert main(_run_args(cli_world, tmp_path / "empty", rounds="0")) == 0
+
+
 def test_run_determinism_byte_identical(cli_world, tmp_path):
     assert main(_run_args(cli_world, tmp_path / "a", strategy="filter")) == 0
     assert main(_run_args(cli_world, tmp_path / "b", strategy="filter", extra=("--jobs", "2"))) == 0
@@ -240,7 +271,7 @@ def test_cli_defaults_come_from_the_dataclasses(cli_world, tmp_path):
     commands = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ).choices
-    strategy, train = StrategyConfig(), TrainConfig()
+    strategy, train, scene = StrategyConfig(), TrainConfig(), SceneSpec(n_images=1)
     pipeline, evaluation = PipelineConfig(strategy=Strategy.LOCAL), EvalConfig()
     thresholds = {
         "score_s": strategy.score_threshold,
@@ -248,6 +279,12 @@ def test_cli_defaults_come_from_the_dataclasses(cli_world, tmp_path):
         "iou_t": strategy.filter_iou_threshold,
     }
     want = {
+        "synth": {
+            "width": scene.width,
+            "height": scene.height,
+            "seed": scene.seed,
+            "prefix": scene.prefix,
+        },
         "run": {
             **thresholds,
             "rounds": pipeline.rounds,
@@ -264,6 +301,22 @@ def test_cli_defaults_come_from_the_dataclasses(cli_world, tmp_path):
         defaults = {a.dest: a.default for a in commands[command]._actions}
         for dest, value in fields.items():
             assert defaults[dest] == value, f"{command} --{dest.replace('_', '-')}"
+    # every argument each subcommand takes; adding or dropping one edits this table
+    strategy_flags = ["score_s", "score_sprime", "iou_t"]
+    arguments = {
+        "synth": ["out", "n_images", "width", "height", "seed", "prefix"],
+        "split": ["manifest", "out", "strong_fraction", "downgrade", "seed"],
+        "run": ["strong", "pool", "test", "out", "strategy", "rounds", "seed", "epochs",
+                "learning_rate", "batch_size", "eval_iou", "jobs", *strategy_flags],
+        "eval": ["det", "gt", "iou", "report"],
+        "annotate": ["model", "pool", "strategy", "out", "jobs", *strategy_flags],
+        "convert": ["images", "annotations", "out"],
+    }
+    assert {
+        command: [a.dest for a in parser._actions if a.dest != "help"]
+        for command, parser in commands.items()
+    } == arguments
+    assert sum(map(len, arguments.values())) == 41
     # the strategy names come from the enums, and --seed is the training seed
     for command, names in (("run", Strategy), ("annotate", Provenance)):
         choices = {a.dest: a.choices for a in commands[command]._actions}["strategy"]
@@ -378,8 +431,9 @@ def test_convert_round_trip(cli_world, tmp_path):
         (ann_dir / f"{Path(rec.image_path).stem}.txt").write_text("\n".join(lines))
     out = tmp_path / "converted.manifest"
     assert main(["convert", "--images", str(root / "test"), "--annotations", str(ann_dir),
-                 "--width", "64", "--height", "64", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     conv = load_dataset(out)
+    assert (conv.image_width, conv.image_height) == (src.image_width, src.image_height)
     assert len(conv.records) == len(src.records)
     by_id = {r.image_id: r for r in conv.records}
     for rec in src.records:
@@ -403,6 +457,26 @@ def test_convert_rejects_bad_dump(tmp_path, capsys):
     ):
         (ann / "a.txt").write_text(f"# polygon dump\n{dump}\n")
         assert main(["convert", "--images", str(img_dir), "--annotations", str(ann),
-                     "--width", "8", "--height", "8", "--out", str(tmp_path / "o.manifest")]) == 1
+                     "--out", str(tmp_path / "o.manifest")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ann / 'a.txt'}:2: ") and why in err, err
+
+
+def test_convert_takes_the_frame_from_the_images(tmp_path, capsys):
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    write_pgm(img_dir / "a.pgm", np.zeros((12, 10), dtype=np.uint8))
+    write_pgm(img_dir / "b.pgm", np.zeros((12, 10), dtype=np.uint8))
+    out = tmp_path / "o.manifest"
+    args = ["convert", "--images", str(img_dir), "--annotations", str(tmp_path), "--out", str(out)]
+    assert main(args) == 0
+    conv = load_dataset(out)
+    assert (conv.image_width, conv.image_height) == (10, 12) and len(conv.records) == 2
+
+    out.unlink()
+    write_pgm(img_dir / "c.pgm", np.zeros((8, 8), dtype=np.uint8))
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {img_dir / 'c.pgm'} is 8x8, but {img_dir / 'a.pgm'} is 10x12\n"
+    )
+    assert not out.exists()

@@ -6,7 +6,7 @@ from textboot.data import (
     AnnotationTier,
     Dataset,
     SceneSpec,
-    downgrade_to_weak,
+    downgrade_record,
     generate_synthetic,
     load_dataset,
     read_pgm,
@@ -259,19 +259,28 @@ def test_split_counts_and_determinism(tmp_path):
         split_dataset(Dataset((), 16, 16), 0.5, seed=0)
     with pytest.raises(ValueError):
         split_dataset(d, 1.0, seed=0)
+    # the tier is checked before the split, even when the rest comes out empty
+    with pytest.raises(ValueError, match="downgrade must be WEAK, NONE or None"):
+        split_dataset(dataset_of(1), 0.9, seed=0, downgrade=AnnotationTier.STRONG)
 
 
 def test_downgrade_to_weak():
     quad = Polygon.from_pairs([(0, 0), (4, 2), (8, 0), (4, -2)])
     square = Polygon.from_pairs([(1, 1), (3, 1), (3, 3), (1, 3)])
     r = AnnotationRecord("a", "a.pgm", AnnotationTier.STRONG, polygons=(quad, square, tri()))
-    weak = downgrade_to_weak(r)
+    weak = downgrade_record(r, AnnotationTier.WEAK)
     assert weak.tier is AnnotationTier.WEAK
     assert weak.rects[0] == AxisRect(0, -2, 8, 2)
     assert weak.rects[1] == AxisRect(1, 1, 3, 3)
     assert len(weak.rects) == 3
-    with pytest.raises(TierError):
-        downgrade_to_weak(weak)
+    assert downgrade_record(r, AnnotationTier.NONE) == AnnotationRecord(
+        "a", "a.pgm", AnnotationTier.NONE
+    )
+    for tier in (AnnotationTier.WEAK, AnnotationTier.NONE):
+        with pytest.raises(TierError, match="can only downgrade STRONG records, got WEAK"):
+            downgrade_record(weak, tier)
+    with pytest.raises(ValueError, match="downgrade must be WEAK or NONE"):
+        downgrade_record(r, AnnotationTier.STRONG)
 
 
 def test_downgraded_rect_contains_mask_pixels():

@@ -7,17 +7,16 @@ from textboot.data import AnnotationRecord, AnnotationTier, Dataset
 from textboot.errors import (
     DimensionMismatchError,
     TierError,
-    TooManyInstancesError,
     UnknownImageError,
 )
 from textboot.evaluation import (
     EvalConfig,
     EvalReport,
-    brute_force_match,
     evaluate,
     greedy_match,
 )
 from textboot.geometry import AxisRect, Detection, Polygon, mask_bbox, rasterize
+from tests.oracles import TooManyInstancesError, brute_force_match
 
 W = H = 32
 

@@ -13,10 +13,10 @@ from textboot.geometry import (
     mask_bbox,
     mask_iou,
     mask_to_polygon,
-    polygon_area,
     rasterize,
     rect_iou,
 )
+from tests.oracles import polygon_area
 
 
 # Brute-force oracles, written straight from the stated conventions and kept

@@ -9,7 +9,7 @@ from textboot.data import (
     AnnotationTier,
     Dataset,
     SceneSpec,
-    downgrade_to_weak,
+    downgrade_record,
     generate_synthetic,
     read_pgm,
 )
@@ -279,7 +279,7 @@ def weak_world(tmp_path_factory):
     examples = _examples(ds, root)
     model = train(None, examples[:4], TrainConfig(seed=3))
     weak_pool = Dataset(
-        records=tuple(downgrade_to_weak(r) for r in ds.records[4:]),
+        records=tuple(downgrade_record(r, AnnotationTier.WEAK) for r in ds.records[4:]),
         image_width=64,
         image_height=64,
     )
