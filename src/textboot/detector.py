@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .errors import DegenerateBoxError, EmptyTrainingSetError, ModelFormatError, NonFiniteLossError
+from .errors import EmptyTrainingSetError, ModelFormatError, NonFiniteLossError
 from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, mask_bbox
 
 # Written into every trained model: a pixel is text when p >= the threshold
@@ -193,11 +193,8 @@ class DetectorModel:
         """Per box, the text pixels inside it and everything else unset.
 
         The probability map is computed once for all boxes, and not at all
-        when there are none.
+        when there are none.  A box over no pixel center gets an empty mask.
         """
-        for box in boxes:
-            if box.area <= 0.0:
-                raise DegenerateBoxError(f"cannot annotate a zero-area box: {box}")
         if not boxes:
             return []
         probs = self.prob_map(image)

@@ -13,10 +13,6 @@ class EmptyMaskError(TextBootError):
     """An operation that needs at least one set pixel got an empty mask."""
 
 
-class DegenerateBoxError(TextBootError):
-    """A box with zero area was passed where a real window is required."""
-
-
 class ManifestError(TextBootError):
     """A manifest file is malformed.  Carries the offending line number."""
 

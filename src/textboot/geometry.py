@@ -10,7 +10,8 @@ Conventions used across the toolkit:
 - A ``BitMask`` always covers the whole image raster.
 - Mask -> polygons -> mask (:func:`mask_to_polygon`, then :func:`rasterize`
   of each outline) fills holes: it also sets every background pixel that
-  cannot reach the border through 8-connected background.
+  cannot reach the border through 8-connected background.  Only pseudo
+  manifests make that round trip; training takes pseudo masks as they are.
 - Connectivity is 4-way everywhere: diagonal neighbours are separate
   components.
 

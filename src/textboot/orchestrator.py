@@ -4,11 +4,13 @@ Round 0 trains only on the small pixel-annotated set.  Each later round
 re-annotates the whole pool with the latest model (earlier pseudo labels
 are superseded, not accumulated), retrains from the round-0 baseline on
 the pixel-annotated set plus the fresh pseudo labels, and scores the
-result on a held-out test split.  Round r trains with seed
-``train_cfg.seed + r``.  The best round is the one with the highest
-F-measure, earliest on ties.  FULLY is the upper-bound setting: its only
-round is round 0 over the pixel-annotated set plus the whole pool, whose
-pixel annotations it trains on directly; it performs no pseudo-labeling.
+result on a held-out test split.  A round trains on its pseudo masks as
+they are in memory, holes included; its pseudo manifest, which fills the
+holes, is only the record.  Round r trains with seed ``train_cfg.seed +
+r``.  The best round is the one with the highest F-measure, earliest on
+ties.  FULLY is the upper-bound setting: its only round is round 0 over
+the pixel-annotated set plus the whole pool, whose pixel annotations it
+trains on directly; it performs no pseudo-labeling.
 
 Every run writes a self-describing directory: per-round model files,
 pseudo-label manifests and metrics, plus run-level metrics and an
@@ -198,10 +200,13 @@ def run_pipeline(
                     round_index=r,
                     jobs=jobs,
                 )
-                pseudo_ds = pseudo_to_dataset(pool, pseudo)
-                save_dataset(pseudo_ds, rdir / "pseudo.manifest")
+                save_dataset(pseudo_to_dataset(pool, pseudo), rdir / "pseudo.manifest")
                 pseudo_count = pseudo.count
-                examples = labelled + dataset_examples(pseudo_ds)
+                labels = dict(pseudo.per_image)
+                examples = labelled + [
+                    TrainExample(read_image(pool, rec), tuple(d.mask for d in labels[rec.image_id]))
+                    for rec in pool.records
+                ]
                 base = models[0]
 
             train_cfg = replace(cfg.train_cfg, seed=cfg.train_cfg.seed + r)

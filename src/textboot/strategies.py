@@ -7,16 +7,17 @@ Three ways to turn detector output on pool images into training labels:
   weak (rectangle) annotation with IoU strictly above a threshold.
 * LOCAL  — skip detection entirely: for each weak rectangle, ask the
   model for the pixels inside it (one label per rectangle, never
-  rejected; an empty mask is kept and trains as negative evidence).  The
-  model answers for all of an image's rectangles in one call.
+  rejected; an empty mask, which a zero-area rectangle always gets, is
+  kept and trains as negative evidence).  The model answers for all of an
+  image's rectangles in one call.
 
 A label is a :class:`~textboot.geometry.Detection`: NAIVE and FILTER keep
 the detections themselves, LOCAL labels carry no confidence and score
 1.0.  A :class:`PseudoSet` holds one strategy's labels for one round and
 records that strategy and round once.  All selectors are pure: a fixed
-model and inputs give the same output.  A PseudoSet converts back into a
-pixel-annotated dataset so retraining consumes original and pseudo
-annotations through one code path.
+model and inputs give the same output.  A PseudoSet serializes as a
+pixel-annotated dataset, the record of a round's labels; retraining takes
+the masks from the PseudoSet itself.
 """
 
 from __future__ import annotations
@@ -143,11 +144,11 @@ def annotate_pool(
 def pseudo_to_dataset(pool: Dataset, pseudo: PseudoSet) -> Dataset:
     """Serialize a PseudoSet as a pixel-annotated dataset.
 
-    Each mask becomes its component outlines.  Images with labels record
-    the set's strategy and round; NAIVE and FILTER images also record each
-    label's score, repeated per outline so score lists stay aligned with
-    polygon lists.  Images with no labels become empty pixel-tier records,
-    keeping the whole pool available to retraining as background.
+    Each mask becomes its component outlines, holes filled.  Images with
+    labels record the set's strategy and round; NAIVE and FILTER images
+    also record each label's score, repeated per outline so score lists
+    stay aligned with polygon lists.  Images with no labels become empty
+    pixel-tier records, so the whole pool is listed, as retraining sees it.
     """
     by_id = dict(pseudo.per_image)
     scored = pseudo.provenance is not Provenance.LOCAL

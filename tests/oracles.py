@@ -7,9 +7,10 @@ obviously-correct version of something the package does another way.
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from textboot.errors import TextBootError
-from textboot.geometry import Polygon
+from textboot.geometry import FOUR_CONNECTED, BitMask, Polygon
 
 BRUTE_FORCE_CAP = 8
 
@@ -48,3 +49,14 @@ def polygon_area(p: Polygon) -> float:
         b = verts[(i + 1) % len(verts)]
         acc += a.x * b.y - b.x * a.y
     return abs(acc) / 2.0
+
+
+def fill_holes_per_component(mask: BitMask) -> BitMask:
+    """One label after its polygon round trip: each 4-connected component
+    with its holes filled, a hole being background that cannot reach the
+    border through 8-connected background."""
+    labels, n = ndimage.label(mask.pixels, structure=FOUR_CONNECTED)
+    out = np.zeros(mask.pixels.shape, dtype=bool)
+    for k in range(1, n + 1):
+        out |= ndimage.binary_fill_holes(labels == k, structure=np.ones((3, 3), dtype=bool))
+    return BitMask(out)

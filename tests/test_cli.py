@@ -388,6 +388,32 @@ def test_annotate_local_counts(cli_world, tmp_path, capsys):
     assert all(r.tier is AnnotationTier.STRONG for r in produced.records)
 
 
+def test_a_zero_area_rectangle_gets_an_empty_local_label(cli_world, tmp_path, capsys):
+    """A collinear polygon splits into a zero-area rectangle, which LOCAL
+    labels with an empty mask in ``run`` and ``annotate`` alike."""
+    world = tmp_path / "world"
+    shutil.copytree(cli_world, world)
+    victim = load_dataset(world / "splits" / "rest.manifest").records[0].image_id
+    manifest = world / "train" / "dataset.manifest"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("".join(
+        ln + ("\t10,20,20,20,30,20" if ln.split("\t")[0] == victim else "") + "\n" for ln in lines
+    ))
+    assert main(["split", str(manifest), "--out", str(world / "splits"),
+                 "--strong-fraction", "0.25", "--seed", "3"]) == 0
+    pool = load_dataset(world / "splits" / "rest.manifest")
+    assert pool.records[0].image_id == victim and pool.records[0].rects[-1].area == 0.0
+    n_rects = sum(len(r.rects) for r in pool.records)
+
+    assert main(_run_args(world, tmp_path / "run")) == 0
+    assert f"pseudo_count={n_rects}\n" in (tmp_path / "run" / "round_001" / "metrics.txt").read_text()
+    capsys.readouterr()
+    assert main(["annotate", "--model", str(tmp_path / "run" / "round_000" / "model.bin"),
+                 "--pool", str(world / "splits" / "rest.manifest"),
+                 "--strategy", "local", "--out", str(tmp_path / "pseudo.manifest")]) == 0
+    assert f"{n_rects} pseudo instances" in capsys.readouterr().out
+
+
 def test_annotate_naive_over_weak_pool(cli_world, tmp_path):
     root = cli_world
     assert main(_run_args(root, tmp_path / "run", rounds="0")) == 0

@@ -28,7 +28,6 @@ from textboot.detector import (
     train,
 )
 from textboot.errors import (
-    DegenerateBoxError,
     EmptyTrainingSetError,
     ModelFormatError,
     NonFiniteLossError,
@@ -497,10 +496,12 @@ def test_mask_for_box_outside_image_is_empty(easy_world):
     assert m.pixels.shape == examples[8].image.shape
 
 
-def test_mask_for_degenerate_box_raises(easy_world):
+def test_mask_for_degenerate_box_is_empty(easy_world):
     _, examples, model = easy_world
-    with pytest.raises(DegenerateBoxError):
-        model.mask_for_box(examples[8].image, AxisRect(5, 5, 5, 9))
+    for box in (AxisRect(5, 5, 5, 9), AxisRect(10, 20, 30, 20), AxisRect(7, 7, 7, 7)):
+        m = model.mask_for_box(examples[8].image, box)
+        assert m.count == 0
+        assert m.pixels.shape == examples[8].image.shape
 
 
 def test_masks_for_boxes_equal_one_box_masks(easy_world):
@@ -536,10 +537,12 @@ def test_masks_for_boxes_computes_one_prob_map_per_image(easy_world, monkeypatch
     assert len(calls) == sum(1 for boxes in boxes_per_image if boxes)
 
 
-def test_masks_for_boxes_rejects_degenerate_box(easy_world):
+def test_masks_for_boxes_gives_a_degenerate_box_an_empty_mask(easy_world):
     _, examples, model = easy_world
-    with pytest.raises(DegenerateBoxError):
-        model.masks_for_boxes(examples[8].image, [AxisRect(0, 0, 8, 8), AxisRect(5, 5, 5, 9)])
+    image = examples[8].image
+    full, degenerate = model.masks_for_boxes(image, [AxisRect(0, 0, 64, 64), AxisRect(5, 5, 5, 9)])
+    assert degenerate.count == 0
+    assert full == model.mask_for_box(image, AxisRect(0, 0, 64, 64)) and full.count > 0
 
 
 # --- save / load -------------------------------------------------------------

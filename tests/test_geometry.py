@@ -419,7 +419,7 @@ def _random_oracle_mask(rng):
 
 
 def test_polygon_round_trip_is_fill_holes_with_8_connected_background():
-    """What training labels go through: every hole fills, but background
+    """What a pseudo manifest records: every hole fills, but background
     that reaches the border through a diagonal step stays unset."""
     from scipy import ndimage
 

@@ -11,6 +11,7 @@ import pytest
 from textboot.data import (
     AnnotationTier,
     Dataset,
+    Provenance,
     SceneSpec,
     generate_synthetic,
     load_dataset,
@@ -19,7 +20,7 @@ from textboot.data import (
     split_dataset,
     write_pgm,
 )
-from textboot.detector import TrainConfig, load_model
+from textboot.detector import TrainConfig, TrainExample, load_model, save_model, train
 from textboot.errors import (
     DisjointnessError,
     EmptyDatasetError,
@@ -35,6 +36,8 @@ from textboot.orchestrator import (
     dataset_examples,
     run_pipeline,
 )
+from textboot.strategies import annotate_pool, pseudo_to_dataset
+from tests.oracles import fill_holes_per_component
 from tests.test_detector import EASY
 
 
@@ -260,6 +263,58 @@ def test_moved_tree_reproduces_its_pseudo_manifests(tmp_path):
         assert (b / "rerun" / r / "pseudo.manifest").read_bytes() == original
         copied = load_dataset(b / "run" / r / "pseudo.manifest")
         assert all(Path(rec.image_path).is_relative_to(b) for rec in copied.records)
+
+
+@pytest.fixture(scope="module")
+def holed_run(tmp_path_factory):
+    """A LOCAL run of one round whose round-0 model leaves a hole in at
+    least one pseudo mask of every strategy (checked by the tests)."""
+    root = tmp_path_factory.mktemp("holedworld")
+    train_ds = generate_synthetic(SceneSpec(n_images=40, seed=51), root / "train")
+    test_ds = generate_synthetic(SceneSpec(n_images=4, seed=52, prefix="test"), root / "test")
+    strong, pool = split_dataset(train_ds, 0.25, seed=9)
+    cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=1, train_cfg=FAST)
+    result = run_pipeline(strong, pool, test_ds, cfg, root / "run")
+    assert not result.incomplete, result.failure
+    return strong, pool, root / "run"
+
+
+def _holed(pseudo) -> int:
+    return sum(
+        fill_holes_per_component(d.mask) != d.mask for _, labels in pseudo.per_image for d in labels
+    )
+
+
+@pytest.mark.parametrize("strategy", list(Provenance))
+def test_pseudo_manifest_fills_each_components_holes(holed_run, strategy):
+    _, pool, run = holed_run
+    pseudo = annotate_pool(load_model(run / "round_000" / "model.bin"), pool, strategy)
+    assert _holed(pseudo) > 0
+    labels = dict(pseudo.per_image)
+    examples = dataset_examples(pseudo_to_dataset(pool, pseudo))
+    assert len(examples) == len(pool.records)
+    for rec, ex in zip(pool.records, examples):
+        want = np.zeros(ex.image.shape, dtype=bool)
+        for d in labels[rec.image_id]:
+            want |= fill_holes_per_component(d.mask).pixels
+        assert np.array_equal(ex.label_map(), want), rec.image_id
+
+
+def test_rounds_train_on_the_pseudo_masks_in_memory(holed_run, tmp_path):
+    """Round 1's model is the baseline fine-tuned on the strong examples
+    plus the pool images with their LOCAL masks, holes kept, in pool order."""
+    strong, pool, run = holed_run
+    base = load_model(run / "round_000" / "model.bin")
+    pseudo = annotate_pool(base, pool, Provenance.LOCAL, round_index=1)
+    assert _holed(pseudo) > 0
+    labels = dict(pseudo.per_image)
+    in_memory = [
+        TrainExample(read_pgm(rec.image_path), tuple(d.mask for d in labels[rec.image_id]))
+        for rec in pool.records
+    ]
+    model = train(base, dataset_examples(strong) + in_memory, replace(FAST, seed=FAST.seed + 1))
+    save_model(model, tmp_path / "model.bin")
+    assert (tmp_path / "model.bin").read_bytes() == (run / "round_001" / "model.bin").read_bytes()
 
 
 def test_seed_flows_into_round_models(world, tmp_path):
