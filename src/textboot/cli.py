@@ -19,6 +19,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     AnnotationRecord,
@@ -242,10 +244,10 @@ def cmd_convert(args) -> int:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    nums = [float(tok) for tok in line.replace(";", ",").split(",") if tok.strip()]
+                    nums = [float(tok) for tok in line.replace(";", ",").split(",")]
                     if len(nums) < 6 or len(nums) % 2:
                         raise ValueError("need an even count of >= 6 coordinates")
-                    polys.append(Polygon.from_pairs(zip(nums[0::2], nums[1::2])))
+                    polys.append(Polygon(np.reshape(nums, (-1, 2))))
                 except ValueError as exc:
                     raise TextBootError(f"{dump}:{line_no}: bad polygon: {exc}") from None
         records.append(

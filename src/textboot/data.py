@@ -148,7 +148,7 @@ def save_dataset(d: Dataset, manifest_path) -> None:
         if r.scores is not None:
             fields.append(f"scores={_format_floats(r.scores)}")
         for poly in r.polygons:
-            fields.append(_format_floats(c for v in poly.vertices for c in (v.x, v.y)))
+            fields.append(_format_floats(poly.vertices.ravel()))
         for rect in r.rects:
             fields.append(_format_floats((rect.x_min, rect.y_min, rect.x_max, rect.y_max)))
         lines.append("\t".join(fields))
@@ -244,7 +244,7 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
                 raise ManifestError(str(e), lineno) from e
         elif len(vals) >= 6 and len(vals) % 2 == 0:
             try:
-                polygons.append(Polygon.from_pairs(zip(vals[0::2], vals[1::2])))
+                polygons.append(Polygon(np.reshape(vals, (-1, 2))))
             except ValueError as e:
                 raise ManifestError(f"bad polygon: {e}", lineno) from e
         else:
@@ -566,7 +566,7 @@ def _ribbon_polygon(rng, spec: SceneSpec):
     right = np.stack([xs - half * nx, ys - half * ny], axis=1)
     ring = np.concatenate([left, right[::-1]], axis=0)
     try:
-        return Polygon.from_pairs(ring.tolist())
+        return Polygon(ring)
     except ValueError:
         return None
 

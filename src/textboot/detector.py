@@ -165,11 +165,16 @@ class DetectorModel:
         """
         win = _windows(image, self.patch_radius)
         h, w = win.shape[:2]
-        z, block = np.empty(h * w), np.empty((_BLOCK_ROWS * w, self.weights.size))
-        for r0 in range(0, h, _BLOCK_ROWS):
-            n = w * min(_BLOCK_ROWS, h - r0)
-            _fill_features(win[r0 : r0 + _BLOCK_ROWS], block[:n])
-            z[r0 * w : r0 * w + n] = block[:n] @ self.weights
+        # A one-pixel last block joins the block before it: numpy would
+        # multiply a lone row with dot, whose bytes are not gemv's.
+        edges = [*range(0, h, _BLOCK_ROWS), h]
+        if len(edges) > 2 and (h - edges[-2]) * w == 1:
+            del edges[-2]
+        z, block = np.empty(h * w), np.empty((max(np.diff(edges)) * w, self.weights.size))
+        for r0, r1 in zip(edges, edges[1:]):
+            n = (r1 - r0) * w
+            _fill_features(win[r0:r1], block[:n])
+            z[r0 * w : r1 * w] = block[:n] @ self.weights
         return _sigmoid(z + self.bias).reshape(h, w)
 
     def detect(self, image: np.ndarray) -> list[Detection]:

@@ -7,6 +7,9 @@ Conventions used across the toolkit:
   coordinates are integers.
 - Rasterization tests pixel centers ``(col + 0.5, row + 0.5)`` against the
   polygon with the even-odd rule.
+- A ``Polygon`` is its vertex array: a read-only (n, 2) float64 array of
+  (x, y) rows, checked once when the polygon is made.  Every function
+  here reads that array as it is.
 - A ``BitMask`` always covers the whole image raster.
 - Mask -> polygons -> mask (:func:`mask_to_polygon`, then :func:`rasterize`
   of each outline) fills holes: it also sets every background pixel that
@@ -29,16 +32,6 @@ from scipy import ndimage
 from .errors import DimensionMismatchError, EmptyMaskError
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
-
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
 
 @dataclass(frozen=True)
@@ -70,53 +63,45 @@ class AxisRect:
         return self.width * self.height
 
 
+@dataclass(frozen=True, eq=False)
 class Polygon:
-    """Polygon with at least three vertices and no self-crossing edges.
+    """Ring of at least three vertices with no self-crossing edges.
 
+    ``vertices`` is a read-only (n, 2) float64 array of (x, y) rows.
     Construction rejects zero-length edges and proper edge crossings.
     Degenerate rings (collinear vertices, zero area) and touching at shared
     corner points are allowed; traced mask boundaries need the latter where
     a component pinches to a single corner.
     """
 
-    __slots__ = ("vertices",)
+    vertices: np.ndarray
 
-    def __init__(self, vertices):
-        verts = tuple(vertices)
-        if len(verts) < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got {len(verts)}")
-        for v in verts:
-            if not isinstance(v, Point):
-                raise ValueError("polygon vertices must be Point instances")
-        _check_simple(verts)
-        object.__setattr__(self, "vertices", verts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polygon is immutable")
+    def __post_init__(self) -> None:
+        v = np.array(self.vertices, dtype=np.float64)
+        if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
+            raise ValueError(f"polygon needs an (n, 2) vertex array, n >= 3; got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("polygon vertices must be finite")
+        _check_simple(v)
+        v.flags.writeable = False
+        object.__setattr__(self, "vertices", v)
 
     def __eq__(self, other):
-        return isinstance(other, Polygon) and self.vertices == other.vertices
+        if not isinstance(other, Polygon):
+            return NotImplemented
+        return np.array_equal(self.vertices, other.vertices)
 
     def __hash__(self):
-        return hash(self.vertices)
-
-    def __repr__(self):
-        return f"Polygon({list(self.vertices)!r})"
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "Polygon":
-        return cls(Point(float(x), float(y)) for x, y in pairs)
+        return hash((self.vertices + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
 
     def bounding_box(self) -> AxisRect:
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return AxisRect(min(xs), min(ys), max(xs), max(ys))
+        (x_min, y_min), (x_max, y_max) = self.vertices.min(axis=0), self.vertices.max(axis=0)
+        return AxisRect(float(x_min), float(y_min), float(x_max), float(y_max))
 
 
-def _check_simple(verts: tuple[Point, ...]) -> None:
-    """Reject zero-length edges and proper edge crossings.  Raises ValueError."""
-    n = len(verts)
-    p = np.array([(v.x, v.y) for v in verts], dtype=float)
+def _check_simple(p: np.ndarray) -> None:
+    """Reject zero-length edges and proper edge crossings of ring ``p``.  Raises ValueError."""
+    n = len(p)
     q = np.roll(p, -1, axis=0)  # edge k runs p[k] -> q[k]
     if np.any(np.all(p == q, axis=1)):
         raise ValueError("polygon has a zero-length edge")
@@ -208,7 +193,7 @@ def rasterize(p: Polygon, width: int, height: int) -> BitMask:
         raise ValueError(f"grid dims must be positive, got {width}x{height}")
     cx = np.arange(width, dtype=float) + 0.5
     cy = np.arange(height, dtype=float) + 0.5
-    x1, y1 = np.array([(v.x, v.y) for v in p.vertices]).T
+    x1, y1 = p.vertices.T
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
     edge, row = np.nonzero((y1[:, None] <= cy) != (y2[:, None] <= cy))
     t = (cy[row] - y1[edge]) / (y2[edge] - y1[edge])
@@ -275,7 +260,7 @@ def _trace_outer_boundary(comp: np.ndarray) -> Polygon:
     start = (c0, r0)
     x, y = start
     dx, dy = 1, 0  # east along the top edge of the first pixel
-    verts = [Point(float(x), float(y))]
+    verts = [start]
     limit = 4 * (comp.shape[0] + 2) * (comp.shape[1] + 2)
     for _ in range(limit):
         x += dx
@@ -292,7 +277,7 @@ def _trace_outer_boundary(comp: np.ndarray) -> Polygon:
         else:
             ndx, ndy = dx, dy
         if (ndx, ndy) != (dx, dy):
-            verts.append(Point(float(x), float(y)))
+            verts.append((x, y))
             dx, dy = ndx, ndy
     else:
         raise RuntimeError("boundary trace failed to close")

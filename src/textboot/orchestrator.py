@@ -93,6 +93,15 @@ def dataset_examples(dataset: Dataset) -> list[TrainExample]:
     ]
 
 
+def pseudo_examples(pool: Dataset, pseudo: PseudoSet) -> list[TrainExample]:
+    """Pair each pool image with its pseudo masks as they are in memory, holes included."""
+    labels = dict(pseudo.per_image)
+    return [
+        TrainExample(read_image(pool, rec), tuple(d.mask for d in labels[rec.image_id]))
+        for rec in pool.records
+    ]
+
+
 def _check_disjoint(strong: Dataset, pool: Dataset, test: Dataset) -> None:
     sets = {
         "strong": {r.image_id for r in strong.records},
@@ -202,11 +211,7 @@ def run_pipeline(
                 )
                 save_dataset(pseudo_to_dataset(pool, pseudo), rdir / "pseudo.manifest")
                 pseudo_count = pseudo.count
-                labels = dict(pseudo.per_image)
-                examples = labelled + [
-                    TrainExample(read_image(pool, rec), tuple(d.mask for d in labels[rec.image_id]))
-                    for rec in pool.records
-                ]
+                examples = labelled + pseudo_examples(pool, pseudo)
                 base = models[0]
 
             train_cfg = replace(cfg.train_cfg, seed=cfg.train_cfg.seed + r)
@@ -245,9 +250,9 @@ def cross_domain_annotate(
 ) -> PseudoSet:
     """Annotate a pool, possibly of a new domain, with an already-trained model.
 
-    Applies ``strategy`` (by default one annotation per rectangle) and
-    writes the result as a pixel-annotated manifest at ``out``, ready to
-    train on.
+    Applies ``strategy`` (by default one annotation per rectangle), writes
+    the result as a pixel-annotated manifest at ``out`` and returns it;
+    ``pseudo_examples(target_pool, result)`` is ready to train on.
     """
     pseudo = annotate_pool(load_model(model_path), target_pool, strategy, strategy_cfg, jobs=jobs)
     out = Path(out)

@@ -45,9 +45,9 @@ def polygon_area(p: Polygon) -> float:
     """Shoelace area, always non-negative."""
     acc = 0.0
     verts = p.vertices
-    for i, a in enumerate(verts):
-        b = verts[(i + 1) % len(verts)]
-        acc += a.x * b.y - b.x * a.y
+    for i, (ax, ay) in enumerate(verts):
+        bx, by = verts[(i + 1) % len(verts)]
+        acc += ax * by - bx * ay
     return abs(acc) / 2.0
 
 

@@ -22,7 +22,6 @@ from textboot.data import (
     Dataset,
     SceneSpec,
     generate_synthetic,
-    load_dataset,
     read_pgm,
     split_dataset,
 )
@@ -41,7 +40,7 @@ from textboot.orchestrator import (
     PipelineConfig,
     Strategy,
     cross_domain_annotate,
-    dataset_examples,
+    pseudo_examples,
     run_pipeline,
 )
 from textboot.strategies import (
@@ -106,7 +105,7 @@ def _random_star_polygon(rng, width: int, height: int) -> Polygon:
     r_max = min(cx, cy, width - cx, height - cy) - 1.0
     radii = rng.uniform(1.5, max(r_max, 1.6), k)
     pts = [(cx + r * np.cos(a), cy + r * np.sin(a)) for r, a in zip(radii, angles)]
-    return Polygon.from_pairs(pts)
+    return Polygon(pts)
 
 
 def test_geometry_primitives_match_reference_oracles():
@@ -132,7 +131,7 @@ def test_geometry_primitives_match_reference_oracles():
     for _ in range(300):  # rasterization: per-pixel even-odd oracle, bit for bit
         poly = _random_star_polygon(rng, grid_w, grid_h)
         got = rasterize(poly, grid_w, grid_h).pixels
-        verts = [(p.x, p.y) for p in poly.vertices]
+        verts = poly.vertices.tolist()
         for r in range(grid_h):
             for c in range(grid_w):
                 assert got[r, c] == _reference_point_in_polygon(c + 0.5, r + 0.5, verts)
@@ -282,7 +281,7 @@ def test_greedy_matching_tracks_exhaustive_assignment():
             x0, y0 = rng.uniform(2, 18, 2)
             bw, bh = rng.uniform(3, 9, 2)
             truths.append(
-                Polygon.from_pairs(
+                Polygon(
                     [(x0, y0), (x0 + bw, y0), (x0 + bw, y0 + bh), (x0, y0 + bh)]
                 )
             )
@@ -291,7 +290,7 @@ def test_greedy_matching_tracks_exhaustive_assignment():
         for _ in range(int(rng.integers(0, 5))):
             box = _random_rect(rng, extent=20.0)
             mask = rasterize(
-                Polygon.from_pairs(
+                Polygon(
                     [
                         (box.x_min, box.y_min),
                         (box.x_max, box.y_min),
@@ -415,8 +414,8 @@ def test_cross_domain_weak_adaptation_improves(tmp_path):
     _, b_pool = split_dataset(b_train, 0.02, seed=9)
 
     pseudo_path = tmp_path / "b_pseudo.manifest"
-    cross_domain_annotate(best_report.model_path, b_pool, pseudo_path, jobs=4)
-    examples = dataset_examples(load_dataset(pseudo_path))
+    pseudo = cross_domain_annotate(best_report.model_path, b_pool, pseudo_path, jobs=4)
+    examples = pseudo_examples(b_pool, pseudo)
     tuned = train(
         model, examples, TrainConfig(epochs=12, seed=77, patch_radius=model.patch_radius)
     )

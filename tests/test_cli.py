@@ -450,10 +450,7 @@ def test_convert_round_trip(cli_world, tmp_path):
             continue
         lines = []
         for poly in rec.polygons:
-            coords = []
-            for v in poly.vertices:
-                coords.extend([v.x, v.y])
-            lines.append(",".join(str(c) for c in coords))
+            lines.append(",".join(str(c) for c in poly.vertices.ravel().tolist()))
         (ann_dir / f"{Path(rec.image_path).stem}.txt").write_text("\n".join(lines))
     out = tmp_path / "converted.manifest"
     assert main(["convert", "--images", str(root / "test"), "--annotations", str(ann_dir),
@@ -480,6 +477,7 @@ def test_convert_rejects_bad_dump(tmp_path, capsys):
         ("0,0,nan,1,2,2", "finite"),
         ("0,0,2,2,2,0,0,2", "edges cross"),
         ("0,0,0,0,5,5", "zero-length edge"),
+        ("10,,20,30,40,50,60", "could not convert"),  # empty coordinate
     ):
         (ann / "a.txt").write_text(f"# polygon dump\n{dump}\n")
         assert main(["convert", "--images", str(img_dir), "--annotations", str(ann),

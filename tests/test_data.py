@@ -24,7 +24,7 @@ from textboot.geometry import AxisRect, BitMask, Polygon, mask_iou, rasterize
 
 
 def tri(ox=0.0, oy=0.0):
-    return Polygon.from_pairs([(ox, oy), (ox + 4, oy), (ox, oy + 3)])
+    return Polygon([(ox, oy), (ox + 4, oy), (ox, oy + 3)])
 
 
 def make_image(tmp_path, name, w=16, h=16, value=100):
@@ -117,7 +117,7 @@ def test_manifest_roundtrip_bytes_14_vertex(tmp_path):
     step = 2 * np.pi / 14
     angles = np.arange(14) * step + rng.uniform(-0.2, 0.2, 14) * step
     radii = rng.uniform(3.0, 7.0, 14)
-    poly = Polygon.from_pairs(
+    poly = Polygon(
         [(8 + r * np.cos(t), 8 + r * np.sin(t)) for r, t in zip(radii, angles)]
     )
     ds = Dataset(
@@ -265,8 +265,8 @@ def test_split_counts_and_determinism(tmp_path):
 
 
 def test_downgrade_to_weak():
-    quad = Polygon.from_pairs([(0, 0), (4, 2), (8, 0), (4, -2)])
-    square = Polygon.from_pairs([(1, 1), (3, 1), (3, 3), (1, 3)])
+    quad = Polygon([(0, 0), (4, 2), (8, 0), (4, -2)])
+    square = Polygon([(1, 1), (3, 1), (3, 3), (1, 3)])
     r = AnnotationRecord("a", "a.pgm", AnnotationTier.STRONG, polygons=(quad, square, tri()))
     weak = downgrade_record(r, AnnotationTier.WEAK)
     assert weak.tier is AnnotationTier.WEAK
@@ -289,7 +289,7 @@ def test_downgraded_rect_contains_mask_pixels():
         step = 2 * np.pi / 8
         angles = np.arange(8) * step + rng.uniform(-0.25, 0.25, 8) * step
         radii = rng.uniform(2.0, 6.0, 8)
-        poly = Polygon.from_pairs(
+        poly = Polygon(
             [(10 + r * np.cos(t), 10 + r * np.sin(t)) for r, t in zip(radii, angles)]
         )
         rect = poly.bounding_box()

@@ -132,8 +132,11 @@ def _random_model(rng, radius, scale=1.0):
     )
 
 
-# Odd widths, one-row-block heights and an image smaller than one block.
-FEATURE_SHAPES = ((37, 53), (81, 79), (100, 3), (3, 100), (16, 16), (9, 80), (7, 5))
+# Odd widths, one-row-block heights, an image smaller than one block and
+# one-pixel-wide images whose last block would hold a single pixel.
+FEATURE_SHAPES = (
+    (37, 53), (81, 79), (100, 3), (3, 100), (16, 16), (9, 80), (7, 5), (17, 1), (81, 1)
+)
 
 
 def assert_features_match_the_whole_image_path(root):

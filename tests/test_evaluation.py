@@ -22,7 +22,7 @@ W = H = 32
 
 
 def _rect_poly(x0, y0, x1, y1):
-    return Polygon.from_pairs([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    return Polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
 
 
 def _det_for(poly, score=0.9):
@@ -193,7 +193,7 @@ def test_empty_truth_with_detections_gives_zero_precision():
 
 def test_matching_uses_masks_not_boxes():
     # curved-ish truth: L-shape whose bbox is [10,20)x[10,20)
-    ell = Polygon.from_pairs([(10, 10), (20, 10), (20, 12), (12, 12), (12, 20), (10, 20)])
+    ell = Polygon([(10, 10), (20, 10), (20, 12), (12, 12), (12, 20), (10, 20)])
     truth = _truth(_rec("a", [ell]))
     # detection mask = the bbox block: box IoU 1.0, mask IoU 0.36
     det = _det_for(_rect_poly(10, 10, 20, 20))

@@ -7,7 +7,6 @@ from textboot.geometry import (
     AxisRect,
     BitMask,
     Detection,
-    Point,
     Polygon,
     _check_simple,
     mask_bbox,
@@ -72,31 +71,33 @@ def random_star_polygon(rng, cx, cy, r_lo, r_hi, n_lo=4, n_hi=10):
 
 
 def test_polygon_area_examples():
-    square = Polygon.from_pairs([(0, 0), (1, 0), (1, 1), (0, 1)])
+    square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert polygon_area(square) == 1.0
-    tri = Polygon.from_pairs([(0, 0), (4, 0), (0, 3)])
+    tri = Polygon([(0, 0), (4, 0), (0, 3)])
     assert polygon_area(tri) == 6.0
-    collinear = Polygon.from_pairs([(0, 0), (1, 1), (2, 2)])
+    collinear = Polygon([(0, 0), (1, 1), (2, 2)])
     assert polygon_area(collinear) == 0.0
 
 
 def test_polygon_rejects_bad_rings():
     with pytest.raises(ValueError):
-        Polygon.from_pairs([(0, 0), (1, 1)])
+        Polygon([(0, 0), (1, 1)])
     with pytest.raises(ValueError):
-        Polygon.from_pairs([(0, 0), (0, 0), (1, 1), (0, 1)])
+        Polygon([(0, 0), (0, 0), (1, 1), (0, 1)])
     # figure eight: edges properly cross
     with pytest.raises(ValueError):
-        Polygon.from_pairs([(0, 0), (2, 2), (2, 0), (0, 2)])
-    with pytest.raises(ValueError):
-        Point(float("nan"), 0.0)
+        Polygon([(0, 0), (2, 2), (2, 0), (0, 2)])
+    with pytest.raises(ValueError, match="finite"):
+        Polygon([(0, 0), (float("nan"), 0), (1, 1)])
+    with pytest.raises(ValueError, match="shape"):
+        Polygon(np.arange(6.0))  # flat coordinates, not (x, y) rows
 
 
 def meshgrid_check_simple(verts):
     """The n x n form of the simplicity check: (n, n, 2) offset arrays and
     meshgrid fancy-index gathers of both orientation tables."""
     n = len(verts)
-    p = np.array([(v.x, v.y) for v in verts], dtype=float)
+    p = np.asarray(verts, dtype=float)
     q = np.roll(p, -1, axis=0)
     if np.any(np.all(p == q, axis=1)):
         raise ValueError("polygon has a zero-length edge")
@@ -134,7 +135,7 @@ def test_check_simple_matches_the_meshgrid_oracle():
     for i in range(12_000):
         n = int(rng.integers(3, 10))
         pairs = rng.integers(0, 4, (n, 2)) if i % 2 else rng.uniform(-5.0, 5.0, (n, 2))
-        verts = tuple(Point(float(x), float(y)) for x, y in pairs)
+        verts = pairs.astype(float)
         got = _verdict(_check_simple, verts)
         assert got == _verdict(meshgrid_check_simple, verts), pairs.tolist()
         seen[got or "simple"] += 1
@@ -181,17 +182,17 @@ def test_rect_iou_matches_rasterized_masks():
 
 
 def _rect_poly(r):
-    return Polygon.from_pairs(
+    return Polygon(
         [(r.x_min, r.y_min), (r.x_max, r.y_min), (r.x_max, r.y_max), (r.x_min, r.y_max)]
     )
 
 
 def test_rasterize_examples():
-    square = Polygon.from_pairs([(0, 0), (10, 0), (10, 10), (0, 10)])
+    square = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
     assert rasterize(square, 10, 10).count == 100
-    far = Polygon.from_pairs([(50, 50), (60, 50), (55, 60)])
+    far = Polygon([(50, 50), (60, 50), (55, 60)])
     assert rasterize(far, 10, 10).count == 0
-    tri = Polygon.from_pairs([(0, 0), (4, 0), (0, 3)])
+    tri = Polygon([(0, 0), (4, 0), (0, 3)])
     perimeter = 4 + 3 + 5
     assert abs(rasterize(tri, 20, 20).count - 6.0) <= perimeter
 
@@ -232,7 +233,7 @@ def _oracle_polygons(rng, width, height, n):
         else:
             pairs = snap(np.array(random_star_polygon(rng, cx, cy, 0.6, 9.0))).tolist()
         try:
-            yield Polygon.from_pairs(pairs)
+            yield Polygon(pairs)
         except ValueError:  # snapping merged two vertices or crossed two edges
             continue
 
@@ -245,7 +246,7 @@ def test_rasterize_against_oracle():
     )
     for width, height in ORACLE_FRAMES:
         for poly in _oracle_polygons(rng, width, height, 120):
-            verts = [(v.x, v.y) for v in poly.vertices]
+            verts = poly.vertices.tolist()
             got = rasterize(poly, width, height).pixels
             assert np.array_equal(got, rasterize_oracle(verts, width, height)), (width, verts)
             assert np.array_equal(got, per_edge_rasterize(verts, width, height)), (width, verts)
@@ -275,7 +276,7 @@ def test_rasterize_matches_the_per_edge_loop_on_a_synthetic_world(tmp_path):
     for ribbon in polygons:
         outlines = mask_to_polygon(rasterize(ribbon, w, h))
         for poly in [ribbon, *outlines]:
-            want = per_edge_rasterize([(v.x, v.y) for v in poly.vertices], w, h)
+            want = per_edge_rasterize(poly.vertices.tolist(), w, h)
             assert np.array_equal(rasterize(poly, w, h).pixels, want)
 
 
@@ -283,7 +284,7 @@ def test_rasterize_count_close_to_area():
     rng = np.random.default_rng(13)
     for _ in range(200):
         verts = random_star_polygon(rng, rng.uniform(8, 24), rng.uniform(8, 24), 2.0, 8.0)
-        poly = Polygon.from_pairs(verts)
+        poly = Polygon(verts)
         count = rasterize(poly, 32, 32).count
         perim = 0.0
         for i, (x1, y1) in enumerate(verts):
@@ -354,7 +355,7 @@ def test_mask_to_polygon_examples():
     block[0:5, 0:5] = True
     polys = mask_to_polygon(BitMask(block))
     assert len(polys) == 1
-    assert polys[0].vertices == (Point(0, 0), Point(5, 0), Point(5, 5), Point(0, 5))
+    assert polys == [Polygon([(0, 0), (5, 0), (5, 5), (0, 5)])]
     two = np.zeros((8, 8), dtype=bool)
     two[0:2, 0:2] = True
     two[5:7, 5:7] = True
@@ -373,7 +374,7 @@ def test_mask_to_polygon_roundtrip_exact_on_random_blobs():
     rng = np.random.default_rng(31)
     for _ in range(100):
         verts = random_star_polygon(rng, rng.uniform(6, 18), rng.uniform(6, 18), 2.5, 7.0)
-        m = rasterize(Polygon.from_pairs(verts), 24, 24)
+        m = rasterize(Polygon(verts), 24, 24)
         if m.count == 0:
             continue
         polys = mask_to_polygon(m)
@@ -387,7 +388,7 @@ def test_mask_to_polygon_roundtrip_iou_bound():
     rng = np.random.default_rng(37)
     for _ in range(100):
         verts = random_star_polygon(rng, rng.uniform(8, 16), rng.uniform(8, 16), 3.0, 7.5)
-        m = rasterize(Polygon.from_pairs(verts), 24, 24)
+        m = rasterize(Polygon(verts), 24, 24)
         sizes = [c for c in _component_sizes(m.pixels)]
         if not sizes or min(sizes) < 9:
             continue

@@ -157,7 +157,7 @@ def _polygons(draw):
     corners = [(r.x_min, r.y_min), (r.x_max, r.y_min), (r.x_max, r.y_max), (r.x_min, r.y_max)]
     if draw(st.booleans()):
         corners = corners[:3]
-    return Polygon.from_pairs(corners)
+    return Polygon(corners)
 
 
 @st.composite
@@ -206,3 +206,43 @@ def test_save_dataset_rejects_an_id_that_is_not_one_field(tmp_path, image_id):
     ds = Dataset((AnnotationRecord(image_id, str(tmp_path / "a.pgm"), AnnotationTier.NONE),), 8, 8)
     with pytest.raises(ManifestError, match="image id"):
         save_dataset(ds, tmp_path / "out.manifest")
+
+
+# --- polygons --------------------------------------------------------------------
+
+
+@deterministic
+@given(polygon=_polygons())
+def test_equal_vertex_arrays_give_equal_polygons_with_equal_hashes(polygon):
+    flipped = polygon.vertices.copy()
+    flipped[flipped == 0.0] *= -1.0  # 0.0 <-> -0.0, every other value kept
+    for twin in (Polygon(polygon.vertices), Polygon(flipped)):
+        assert twin == polygon and hash(twin) == hash(polygon)
+
+
+def test_negative_zero_vertices_equal_and_hash_like_zero():
+    zero = Polygon([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)])
+    negative = Polygon([(-0.0, -0.0), (4.0, -0.0), (-0.0, 3.0)])
+    assert zero == negative and hash(zero) == hash(negative)
+    assert zero != Polygon([(0.0, 0.0), (4.0, 0.0), (0.0, 3.5)])
+
+
+def test_polygon_vertices_are_a_read_only_copy():
+    source = np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)])
+    polygon = Polygon(source)
+    source[0, 0] = 9.0
+    assert polygon.vertices[0, 0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        polygon.vertices[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        polygon.vertices = source
+
+
+@deterministic
+@given(polygon=_polygons())
+def test_a_polygon_survives_save_then_load_with_its_hash(work, polygon):
+    record = AnnotationRecord("a", str(work / "a.pgm"), AnnotationTier.STRONG, polygons=(polygon,))
+    path = work / "polygon.manifest"
+    save_dataset(Dataset((record,), 16, 16), path)
+    (back,) = load_dataset(path, require_images=False).records[0].polygons
+    assert back == polygon and hash(back) == hash(polygon)
