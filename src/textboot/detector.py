@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
+from scipy.special import expit
 
 from .errors import EmptyTrainingSetError, ModelFormatError, NonFiniteLossError
 from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, mask_bbox
@@ -33,6 +34,9 @@ MIN_COMPONENT_PIXELS = 8
 # Image rows per feature block: every block starts at a pixel index divisible
 # by 8, so BLAS gives each row the bytes of a one-thread whole-image product.
 _BLOCK_ROWS = 8
+# Batch rows per float32 gradient product, summed in float64 in order: a
+# longer sgemv splits its rows across BLAS threads and its bytes vary.
+_GRAD_ROWS = 8192
 
 _MAGIC = b"TXBM"
 _VERSION = 1
@@ -233,9 +237,11 @@ def train(
 ) -> DetectorModel:
     """Mini-batch gradient descent on per-pixel binary cross-entropy.
 
-    Deterministic for a fixed (seed, data, config).  When ``base`` is
-    given, optimization starts from its parameters (fine-tuning).  Raises
-    NonFiniteLossError when an epoch leaves a parameter non-finite.
+    float32 batch products, float64 parameters, gradient summed in 8,192-row
+    blocks.  Deterministic for a fixed (seed, data, config), whatever the
+    BLAS thread count.  When ``base`` is given, optimization starts from its
+    parameters (fine-tuning).  Raises NonFiniteLossError when an epoch
+    leaves a parameter non-finite.
     """
     if not examples:
         raise EmptyTrainingSetError("training requires at least one example")
@@ -251,7 +257,7 @@ def train(
     for ex in examples:
         patch_features(ex.image, radius, out=X[row : row + ex.image.size])
         row += ex.image.size
-    y = np.concatenate([ex.label_map().reshape(-1) for ex in examples]).astype(np.float64)
+    y = np.concatenate([ex.label_map().reshape(-1) for ex in examples]).astype(np.float32)
 
     w = base.weights.copy() if base is not None else np.zeros(feature_dim(radius), dtype=np.float64)
     b = float(base.bias) if base is not None else 0.0
@@ -262,12 +268,14 @@ def train(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            # numpy's own f32->f64 casts, made once; an F-ordered xb.T would change the bytes.
-            xb = X.take(idx, axis=0).astype(np.float64)
-            z = xb @ w + b
-            g = _sigmoid(z) - y.take(idx)
-            w -= cfg.learning_rate * (np.ascontiguousarray(xb.T) @ g) / idx.size
-            b -= cfg.learning_rate * float(g.mean())
+            xb = X.take(idx, axis=0)
+            g = expit(xb @ w.astype(np.float32) + np.float32(b)) - y.take(idx)
+            grad = np.zeros(w.size)
+            for r0 in range(0, idx.size, _GRAD_ROWS):
+                grad += g[r0 : r0 + _GRAD_ROWS] @ xb[r0 : r0 + _GRAD_ROWS]
+            step = cfg.learning_rate / idx.size
+            w -= step * grad
+            b -= step * float(g.sum(dtype=np.float64))
         if not (np.all(np.isfinite(w)) and np.isfinite(b)):
             raise NonFiniteLossError(
                 f"training diverged: non-finite parameters after epoch {epoch + 1}"

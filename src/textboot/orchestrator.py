@@ -176,13 +176,16 @@ def run_pipeline(
     training, tier misuse) stops the run and returns the rounds finished
     so far, with the error as ``failure``; programming errors propagate.
     ``best_round`` is -1 when not even the baseline round finished.
-    A ``run_dir`` that already holds files is refused before anything is
-    written, so no artifact of an earlier run passes for this one's.
+    A ``run_dir`` that already holds files, and a FULLY pool that is not
+    pixel-annotated, are refused before anything is written, so no
+    artifact of an earlier run passes for this one's.
     """
     if not strong.records:
         raise EmptyDatasetError("the pixel-annotated training split is empty")
     _check_dims(strong, pool, test)
     _check_disjoint(strong, pool, test)
+    if cfg.strategy is Strategy.FULLY:
+        require_tier(pool, (AnnotationTier.STRONG,), "a FULLY run's pool")
     run_dir = Path(run_dir)
     if run_dir.is_dir() and any(run_dir.iterdir()):
         raise TextBootError(f"run directory {run_dir} is not empty")
@@ -194,7 +197,6 @@ def run_pipeline(
     try:
         labelled = dataset_examples(strong)
         if cfg.strategy is Strategy.FULLY:
-            require_tier(pool, (AnnotationTier.STRONG,), "the upper-bound setting")
             labelled = labelled + dataset_examples(pool)
 
         for r in range(cfg.planned_rounds + 1):

@@ -190,6 +190,24 @@ def test_run_fully_records_only_the_round_it_trains(cli_world, tmp_path, capsys)
     assert "round 1:" not in capsys.readouterr().out
 
 
+def test_run_fully_refuses_a_weak_pool_before_writing(cli_world, tmp_path, capsys):
+    root = cli_world
+    weak = load_dataset(root / "splits" / "rest.manifest").records[0]
+    assert weak.tier is AnnotationTier.WEAK
+    args = _run_args(root, tmp_path / "run", strategy="fully", rounds="0")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {weak.image_id}: a FULLY run's pool needs tier STRONG, got WEAK\n"
+    assert not (tmp_path / "run").exists()
+    # the corrected command runs into the same --out
+    assert main(["split", str(root / "train" / "dataset.manifest"),
+                 "--out", str(tmp_path / "ssplit"), "--strong-fraction", "0.25",
+                 "--seed", "3", "--downgrade", "strong"]) == 0
+    args[args.index("--pool") + 1] = str(tmp_path / "ssplit" / "rest.manifest")
+    assert main(args) == 0
+    assert (tmp_path / "run" / "round_000" / "model.bin").is_file()
+
+
 def test_run_filter_on_none_pool_fails_with_diagnostic(cli_world, tmp_path, capsys):
     root = cli_world
     assert main(["split", str(root / "train" / "dataset.manifest"),

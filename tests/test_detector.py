@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import expit
 
 import textboot
 from textboot.data import AnnotationTier, SceneSpec, generate_synthetic, read_pgm
@@ -165,22 +166,29 @@ def test_blocked_features_match_the_whole_image_path_bit_for_bit(tmp_path):
     assert_features_match_the_whole_image_path(tmp_path)
 
 
-def test_blocked_features_match_bit_for_bit_on_one_blas_thread(tmp_path):
-    """Also checks that the maps do not depend on the BLAS thread count."""
+def _on_one_blas_thread(helper, root):
+    """The stdout of ``helper(root)``, a function of this module, run in a
+    subprocess with OPENBLAS_NUM_THREADS=1."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(textboot.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, repo]))
     code = (
         "import pathlib, sys\n"
-        "from tests.test_detector import assert_features_match_the_whole_image_path as check\n"
-        "print(check(pathlib.Path(sys.argv[1])))\n"
+        f"from tests.test_detector import {helper} as helper\n"
+        "print(helper(pathlib.Path(sys.argv[1])))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "one")],
+        [sys.executable, "-c", code, str(root)],
         cwd=repo, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == assert_features_match_the_whole_image_path(tmp_path / "default")
+    return proc.stdout.strip()
+
+
+def test_blocked_features_match_bit_for_bit_on_one_blas_thread(tmp_path):
+    """Also checks that the maps do not depend on the BLAS thread count."""
+    got = _on_one_blas_thread("assert_features_match_the_whole_image_path", tmp_path / "one")
+    assert got == assert_features_match_the_whole_image_path(tmp_path / "default")
 
 
 @pytest.mark.parametrize(
@@ -259,12 +267,12 @@ def _reference_sigmoid(z):
 
 
 def _reference_train(base, examples, cfg):
-    """The original training loop: one concatenated feature matrix, masked
-    sigmoid, float32 batches multiplied into float64 parameters as mixed-dtype
-    products (``X[idx] @ w``, ``xb.T @ g``), and a full-data loss pass per
-    epoch as the divergence check."""
+    """The training recipe written plainly: one concatenated float32 feature
+    matrix, float32 batch products with scipy's ``expit``, the gradient as
+    float64 partials of 8,192-row blocks summed in order, and float64
+    parameters."""
     X = np.concatenate([patch_features(ex.image, cfg.patch_radius) for ex in examples], axis=0)
-    y = np.concatenate([ex.label_map().reshape(-1) for ex in examples]).astype(np.float64)
+    y = np.concatenate([ex.label_map().reshape(-1) for ex in examples]).astype(np.float32)
     if base is not None:
         w, b = base.weights.copy(), float(base.bias)
     else:
@@ -276,13 +284,13 @@ def _reference_train(base, examples, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb = X[idx]
-            g = _reference_sigmoid(xb @ w + b) - y[idx]
-            w -= cfg.learning_rate * (xb.T @ g) / idx.size
-            b -= cfg.learning_rate * float(g.mean())
-        z = X @ w + b
-        loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
-        if not np.isfinite(loss):
-            raise NonFiniteLossError(f"training loss diverged to {loss}")
+            g = expit(xb @ w.astype(np.float32) + np.float32(b)) - y[idx]
+            grad = sum(
+                (g[k : k + 8192] @ xb[k : k + 8192]).astype(np.float64)
+                for k in range(0, idx.size, 8192)
+            )
+            w = w - cfg.learning_rate / idx.size * grad
+            b = b - cfg.learning_rate / idx.size * float(np.sum(g, dtype=np.float64))
     return w, b
 
 
@@ -305,13 +313,16 @@ def test_sigmoid_matches_reference_bit_for_bit():
         ("radius 1", TrainConfig(epochs=3, seed=2, patch_radius=1)),
         ("one batch per epoch", TrainConfig(epochs=3, seed=6, batch_size=20_000)),
         ("benchmark batches", TrainConfig(epochs=2, seed=9, batch_size=512)),
+        ("three-block batches", TrainConfig(epochs=1, seed=8, batch_size=20_000)),
     ],
 )
 def test_train_matches_reference_loop_bit_for_bit(easy_world, case, cfg):
     _, examples, model = easy_world
     base = model if case == "fine-tune" else None
-    examples = examples[:3]
+    examples = examples[:8] if case == "three-block batches" else examples[:3]
     n = sum(ex.image.size for ex in examples)
+    if case == "three-block batches":
+        assert n - cfg.batch_size > 8192, "want a full batch of three blocks, then two"
     if case == "ragged batches":
         assert n % cfg.batch_size, "want a short last batch"
     if case == "one batch per epoch":
@@ -320,6 +331,27 @@ def test_train_matches_reference_loop_bit_for_bit(easy_world, case, cfg):
     w, b = _reference_train(base, examples, cfg)
     assert got.weights.tobytes() == w.tobytes()
     assert got.bias == b
+
+
+def trained_parameter_bytes(root):
+    """The weights and bias that ``train`` gives on six 80x80 scenes (38,400
+    rows) at batch sizes 512, 4096 and 20,000, one hex line per batch size.
+    A 20,000-row batch is long enough for one sgemv to be split across BLAS
+    threads."""
+    ds = generate_synthetic(SceneSpec(n_images=6, seed=5), root)
+    examples = _examples(ds, root)
+    lines = []
+    for batch in (512, 4096, 20_000):
+        model = train(None, examples, TrainConfig(epochs=2, seed=1, batch_size=batch))
+        lines.append(f"{batch} {model.weights.tobytes().hex()} {model.bias.hex()}")
+    return "\n".join(lines)
+
+
+def test_trained_bytes_match_on_one_blas_thread(tmp_path):
+    """Training in-process, on the default BLAS thread count, gives the bytes
+    of a one-thread run at every batch size."""
+    got = _on_one_blas_thread("trained_parameter_bytes", tmp_path / "one")
+    assert got.splitlines() == trained_parameter_bytes(tmp_path / "default").splitlines()
 
 
 def test_train_peak_memory_stays_near_the_feature_matrix(easy_world):

@@ -146,10 +146,9 @@ def test_planned_rounds_are_zero_for_fully_only():
 def test_fully_rejects_weak_pool(world, tmp_path):
     _, strong, weak_pool, _, test_ds = world
     cfg = PipelineConfig(strategy=Strategy.FULLY, train_cfg=FAST)
-    result = run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run")
-    assert result.incomplete
-    assert result.reports == ()
-    assert result.best_round == -1
+    with pytest.raises(TierError, match="FULLY run's pool needs tier STRONG, got WEAK"):
+        run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_empty_strong_split_rejected(world, tmp_path):
