@@ -1,7 +1,9 @@
 """Trainable toy text detector: logistic regression over local patches.
 
 Each pixel is classified from the raw intensities of its (2r+1)^2
-neighbourhood plus the window mean and variance.  Proposals are
+neighbourhood plus the window mean and variance.  Training builds those
+features as rows; inference needs only their weighted sum, which is one
+correlation of the image plus two box filters.  Proposals are
 4-connected components of the thresholded probability map.  The point of
 this detector is not accuracy for its own sake: it is the smallest model
 that reliably improves when more (pseudo-)annotated images are added,
@@ -31,8 +33,8 @@ from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, mask_bbox
 # (the symmetric point of the BCE loss), and a proposal needs 8 such pixels.
 SCORE_THRESHOLD = 0.5
 MIN_COMPONENT_PIXELS = 8
-# Image rows per feature block: every block starts at a pixel index divisible
-# by 8, so BLAS gives each row the bytes of a one-thread whole-image product.
+# Image rows per feature block of ``patch_features``: the float32 variance
+# temporaries stay a few rows' worth, not the image's.
 _BLOCK_ROWS = 8
 # Batch rows per float32 gradient product, summed in float64 in order: a
 # longer sgemv splits its rows across BLAS threads and its bytes vary.
@@ -89,33 +91,23 @@ class TrainExample:
 
 def patch_features(image: np.ndarray, radius: int, out: np.ndarray | None = None) -> np.ndarray:
     """Per-pixel feature rows (H*W, (2r+1)^2 + 2) in ~[0,1]: ``out`` if given, else new float32."""
-    win = _windows(image, radius)
-    h, w = win.shape[:2]
-    out = np.empty((h * w, feature_dim(radius)), dtype=np.float32) if out is None else out
-    for r0 in range(0, h, _BLOCK_ROWS):
-        _fill_features(win[r0 : r0 + _BLOCK_ROWS], out[r0 * w : (r0 + _BLOCK_ROWS) * w])
-    return out
-
-
-def _windows(image: np.ndarray, radius: int) -> np.ndarray:
-    """Windows of the edge-padded image in [0, 1], shape (H, W, 2r+1, 2r+1)."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError(f"image must be 2-d, got shape {img.shape}")
     k = 2 * radius + 1
-    return sliding_window_view(np.pad(img.astype(np.float32) / 255.0, radius, mode="edge"), (k, k))
-
-
-def _fill_features(win: np.ndarray, out: np.ndarray) -> None:
-    """Write the features of windows (rows, W, k, k) into ``out``, computed in float32."""
-    kk = win.shape[2] * win.shape[3]
-    raw = win.reshape(-1, kk)
-    mean = raw.mean(axis=1, dtype=np.float32)
-    dev = raw - mean[:, None]  # ndarray.var's own steps, reusing the mean
-    dev *= dev
-    out[:, :kk] = raw
-    out[:, kk] = mean
-    out[:, kk + 1] = 4.0 * dev.mean(axis=1, dtype=np.float32)
+    win = sliding_window_view(np.pad(img.astype(np.float32) / 255.0, radius, mode="edge"), (k, k))
+    h, w = img.shape
+    out = np.empty((h * w, feature_dim(radius)), dtype=np.float32) if out is None else out
+    for r0 in range(0, h, _BLOCK_ROWS):
+        raw = win[r0 : r0 + _BLOCK_ROWS].reshape(-1, k * k)
+        rows = out[r0 * w : (r0 + _BLOCK_ROWS) * w]
+        mean = raw.mean(axis=1, dtype=np.float32)
+        dev = raw - mean[:, None]  # ndarray.var's own steps, reusing the mean
+        dev *= dev
+        rows[:, : k * k] = raw
+        rows[:, k * k] = mean
+        rows[:, k * k + 1] = 4.0 * dev.mean(axis=1, dtype=np.float32)
+    return out
 
 
 def feature_dim(radius: int) -> int:
@@ -165,21 +157,19 @@ class DetectorModel:
     def prob_map(self, image: np.ndarray) -> np.ndarray:
         """Per-pixel text probability, float64, same shape as the image.
 
-        Features are made in float64, ``_BLOCK_ROWS`` image rows at a time.
+        One k x k correlation with the window weights plus two box filters
+        for the window mean and variance, edge-padded as ``patch_features``
+        pads: no feature matrix, no BLAS.
         """
-        win = _windows(image, self.patch_radius)
-        h, w = win.shape[:2]
-        # A one-pixel last block joins the block before it: numpy would
-        # multiply a lone row with dot, whose bytes are not gemv's.
-        edges = [*range(0, h, _BLOCK_ROWS), h]
-        if len(edges) > 2 and (h - edges[-2]) * w == 1:
-            del edges[-2]
-        z, block = np.empty(h * w), np.empty((max(np.diff(edges)) * w, self.weights.size))
-        for r0, r1 in zip(edges, edges[1:]):
-            n = (r1 - r0) * w
-            _fill_features(win[r0:r1], block[:n])
-            z[r0 * w : r1 * w] = block[:n] @ self.weights
-        return _sigmoid(z + self.bias).reshape(h, w)
+        x = np.asarray(image, dtype=np.float64) / 255.0
+        if x.ndim != 2:
+            raise ValueError(f"image must be 2-d, got shape {x.shape}")
+        k = 2 * self.patch_radius + 1
+        z = ndimage.correlate(x, self.weights[: k * k].reshape(k, k), mode="nearest")
+        m = ndimage.uniform_filter(x, k, mode="nearest")
+        v = ndimage.uniform_filter(x * x, k, mode="nearest") - m * m
+        w_mean, w_var = self.weights[k * k :]
+        return _sigmoid(z + w_mean * m + w_var * 4.0 * v + self.bias)
 
     def detect(self, image: np.ndarray) -> list[Detection]:
         """Threshold + connected components; sorted by descending score."""

@@ -31,7 +31,9 @@ from .data import (
 from .detector import DetectorModel, TrainConfig, TrainExample, load_model, save_model, train
 from .errors import DimensionMismatchError, DisjointnessError, EmptyDatasetError, TextBootError
 from .evaluation import EvalConfig, EvalReport, evaluate
-from .strategies import PseudoSet, StrategyConfig, annotate_pool, pseudo_to_dataset
+from .strategies import (
+    _ALLOWED_TIERS, PseudoSet, StrategyConfig, annotate_pool, pseudo_to_dataset
+)
 
 # The pseudo-labelling strategies plus FULLY, the upper-bound setting.
 Strategy = enum.Enum(
@@ -173,19 +175,22 @@ def run_pipeline(
     """Execute one full bootstrap run, writing artifacts under run_dir.
 
     A domain error mid-round (a bad or wrong-size image, diverged
-    training, tier misuse) stops the run and returns the rounds finished
-    so far, with the error as ``failure``; programming errors propagate.
+    training) stops the run and returns the rounds finished so far, with
+    the error as ``failure``; programming errors propagate.
     ``best_round`` is -1 when not even the baseline round finished.
-    A ``run_dir`` that already holds files, and a FULLY pool that is not
-    pixel-annotated, are refused before anything is written, so no
-    artifact of an earlier run passes for this one's.
+    A ``run_dir`` that already holds files, and a pool whose tier the
+    strategy cannot use (FULLY needs STRONG), are refused before anything
+    is written, so no artifact of an earlier run passes for this one's.
     """
     if not strong.records:
         raise EmptyDatasetError("the pixel-annotated training split is empty")
     _check_dims(strong, pool, test)
     _check_disjoint(strong, pool, test)
     if cfg.strategy is Strategy.FULLY:
-        require_tier(pool, (AnnotationTier.STRONG,), "a FULLY run's pool")
+        tiers = (AnnotationTier.STRONG,)
+    else:
+        tiers = _ALLOWED_TIERS[Provenance[cfg.strategy.value]]
+    require_tier(pool, tiers, f"a {cfg.strategy.value} run's pool")
     run_dir = Path(run_dir)
     if run_dir.is_dir() and any(run_dir.iterdir()):
         raise TextBootError(f"run directory {run_dir} is not empty")

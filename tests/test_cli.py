@@ -222,8 +222,12 @@ def test_run_filter_on_none_pool_fails_with_diagnostic(cli_world, tmp_path, caps
         "--strategy", "filter", "--rounds", "1", "--epochs", "10",
     ])
     assert code == 1
+    first = load_dataset(tmp_path / "nsplit" / "rest.manifest").records[0]
+    assert first.tier is AnnotationTier.NONE
+    # TierError's message, raised before the run directory is made
     err = capsys.readouterr().err
-    assert "incomplete" in err and "TierError" in err
+    assert err == f"error: {first.image_id}: a FILTER run's pool needs tier WEAK, got NONE\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_with_a_wrong_size_image_is_marked_incomplete(cli_world, tmp_path, capsys):

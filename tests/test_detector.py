@@ -120,9 +120,16 @@ def _whole_image_features(image, radius):
     return feats.reshape(-1, k * k + 2)
 
 
-def _whole_image_prob_map(model, image):
-    z = _whole_image_features(image, model.patch_radius) @ model.weights + model.bias
-    return _sigmoid(z).reshape(image.shape)
+def _float64_prob_map(model, image):
+    """The map from the float64 feature matrix of the whole image: windows
+    of the edge-padded image, their ``mean`` and ``var``."""
+    k = 2 * model.patch_radius + 1
+    padded = np.pad(image.astype(np.float64) / 255.0, model.patch_radius, mode="edge")
+    raw = sliding_window_view(padded, (k, k)).reshape(image.shape[0], image.shape[1], k * k)
+    feats = np.concatenate(
+        [raw, raw.mean(axis=2)[..., None], 4.0 * raw.var(axis=2)[..., None]], axis=2
+    )
+    return _sigmoid(feats @ model.weights + model.bias)
 
 
 def _random_model(rng, radius, scale=1.0):
@@ -141,14 +148,17 @@ FEATURE_SHAPES = (
 
 
 def assert_features_match_the_whole_image_path(root):
-    """Bytes of ``patch_features`` and ``prob_map`` against the whole-image
-    path, on a synthetic 80x80 world and on random images of odd shapes.
-    Returns a digest of every probability map."""
+    """Bytes of ``patch_features`` against the float32 whole-image path, and
+    ``prob_map`` within 1e-12 of the float64 one, on a synthetic 80x80 world
+    and on random images of odd shapes.  Returns a digest of every
+    probability map."""
     digest = hashlib.sha256()
     rng = np.random.default_rng(23)
     ds = generate_synthetic(SceneSpec(n_images=3, seed=5), root)
     images = [read_pgm(root / rec.image_path) for rec in ds.records]
-    images += [rng.integers(0, 256, shape, dtype=np.uint8) for shape in FEATURE_SHAPES]
+    images += [
+        rng.integers(0, 256, shape, dtype=np.uint8) for shape in (*FEATURE_SHAPES, (1, 1), (2, 3))
+    ]
     for image in images:
         for radius in (1, 2, 3):
             want = _whole_image_features(image, radius)
@@ -156,8 +166,11 @@ def assert_features_match_the_whole_image_path(root):
             for scale in (0.1, 1.0, 10.0):
                 model = _random_model(rng, radius, scale)
                 got = model.prob_map(image)
-                want = _whole_image_prob_map(model, image)
-                assert got.tobytes() == want.tobytes(), (image.shape, radius, scale)
+                assert got.dtype == np.float64 and got.shape == image.shape
+                np.testing.assert_allclose(
+                    got, _float64_prob_map(model, image), rtol=0, atol=1e-12,
+                    err_msg=str((image.shape, radius, scale)),
+                )
                 digest.update(got.tobytes())
     return digest.hexdigest()
 
@@ -189,6 +202,12 @@ def test_blocked_features_match_bit_for_bit_on_one_blas_thread(tmp_path):
     """Also checks that the maps do not depend on the BLAS thread count."""
     got = _on_one_blas_thread("assert_features_match_the_whole_image_path", tmp_path / "one")
     assert got == assert_features_match_the_whole_image_path(tmp_path / "default")
+
+
+def test_prob_map_rejects_an_image_that_is_not_2d():
+    model = _random_model(np.random.default_rng(0), 1)
+    with pytest.raises(ValueError, match="2-d"):
+        model.prob_map(np.zeros((4, 4, 3), dtype=np.uint8))
 
 
 @pytest.mark.parametrize(

@@ -173,18 +173,15 @@ def test_overlapping_splits_rejected(world, tmp_path):
 
 def test_mid_round_domain_error_yields_partial_result(world, tmp_path):
     _, strong, weak_pool, _, test_ds = world
-    # NONE-tier pool: the baseline round works, the FILTER round cannot
-    none_pool = Dataset(
-        records=tuple(
-            replace(r, tier=AnnotationTier.NONE, rects=()) for r in weak_pool.records
-        ),
-        image_width=64,
-        image_height=64,
-    )
+    # a wrong-size last pool image: the baseline round works, the FILTER round cannot
+    victim = weak_pool.records[-1]
+    small = tmp_path / "small.pgm"
+    write_pgm(small, read_pgm(victim.image_path)[:, :40])
+    pool = replace(weak_pool, records=weak_pool.records[:-1] + (replace(victim, image_path=str(small)),))
     cfg = PipelineConfig(strategy=Strategy.FILTER, rounds=2, train_cfg=FAST)
-    result = run_pipeline(strong, none_pool, test_ds, cfg, tmp_path / "run")
+    result = run_pipeline(strong, pool, test_ds, cfg, tmp_path / "run")
     assert result.incomplete
-    assert result.failure is not None and "TierError" in result.failure
+    assert result.failure is not None and result.failure.startswith("ImageError: ")
     assert len(result.reports) == 1  # baseline only
     assert result.best_round == 0
     # run-level metrics still written for the completed rounds
