@@ -230,11 +230,12 @@ def cmd_convert(args) -> int:
     image_files = sorted(images_dir.glob("*.pgm"))
     if not image_files:
         raise TextBootError(f"no .pgm images found under {images_dir}")
-    h, w = read_pgm(image_files[0]).shape
     records = []
     for img in image_files:
         ih, iw = read_pgm(img).shape
-        if (ih, iw) != (h, w):
+        if not records:
+            h, w = ih, iw
+        elif (ih, iw) != (h, w):
             raise ImageError(f"{img} is {iw}x{ih}, but {image_files[0]} is {w}x{h}")
         polys = []
         dump = ann_dir / f"{img.stem}.txt"

@@ -183,8 +183,7 @@ def _parse_manifest(raw_bytes: bytes, base: Path, require_images: bool) -> Datas
 
     width = height = None
     records: list[AnnotationRecord] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         if width is None:

@@ -4,11 +4,12 @@ Each pixel is classified from the raw intensities of its (2r+1)^2
 neighbourhood plus the window mean and variance.  Training builds those
 features as rows; inference needs only their weighted sum, which is one
 correlation of the image plus two box filters.  Proposals are
-4-connected components of the thresholded probability map.  The point of
-this detector is not accuracy for its own sake: it is the smallest model
-that reliably improves when more (pseudo-)annotated images are added,
-which is what the bootstrapping pipeline exercises.  Anything implementing
-the same protocol can be dropped in behind it:
+4-connected components of the probability map thresholded at the fixed
+``SCORE_THRESHOLD``, so a model holds only what training learned.  The
+point of this detector is not accuracy for its own sake: it is the
+smallest model that reliably improves when more (pseudo-)annotated images
+are added, which is what the bootstrapping pipeline exercises.  Anything
+implementing the same protocol can be dropped in behind it:
 
 * ``train`` / ``save_model`` / ``load_model`` — fit and persist a model;
 * ``detect(image)`` — scored instance proposals (NAIVE and FILTER);
@@ -29,8 +30,8 @@ from scipy.special import expit
 from .errors import EmptyTrainingSetError, ModelFormatError, NonFiniteLossError
 from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, mask_bbox
 
-# Written into every trained model: a pixel is text when p >= the threshold
-# (the symmetric point of the BCE loss), and a proposal needs 8 such pixels.
+# The same for every model: a pixel is text when p >= the threshold (the
+# symmetric point of the BCE loss), and a proposal needs 8 such pixels.
 SCORE_THRESHOLD = 0.5
 MIN_COMPONENT_PIXELS = 8
 # Image rows per feature block of ``patch_features``: the float32 variance
@@ -41,8 +42,8 @@ _BLOCK_ROWS = 8
 _GRAD_ROWS = 8192
 
 _MAGIC = b"TXBM"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIdIIIQQ")
+_VERSION = 2
+_HEADER = struct.Struct("<4sIIIIQQ")
 
 
 @dataclass(frozen=True)
@@ -122,17 +123,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Immutable trained model plus its inference thresholds.
+    """Immutable trained model: its parameters and their lineage.
 
-    A pixel is text when its probability is >= ``score_threshold``, for
+    A pixel is text when its probability is >= ``SCORE_THRESHOLD``, for
     ``detect`` and ``masks_for_boxes`` alike.
     """
 
     weights: np.ndarray
     bias: float
     patch_radius: int
-    score_threshold: float
-    min_component_pixels: int
     rounds_seen: int
     epochs_trained: int
     seed: int
@@ -146,10 +145,6 @@ class DetectorModel:
             )
         if not (np.all(np.isfinite(w)) and np.isfinite(self.bias)):
             raise ValueError("model parameters must be finite")
-        if not 0.0 < self.score_threshold < 1.0:
-            raise ValueError(f"score_threshold must lie in (0, 1), got {self.score_threshold}")
-        if self.min_component_pixels < 1:
-            raise ValueError(f"min_component_pixels must be >= 1, got {self.min_component_pixels}")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -174,12 +169,12 @@ class DetectorModel:
     def detect(self, image: np.ndarray) -> list[Detection]:
         """Threshold + connected components; sorted by descending score."""
         probs = self.prob_map(image)
-        fired = probs >= self.score_threshold
+        fired = probs >= SCORE_THRESHOLD
         labels, n = ndimage.label(fired, structure=FOUR_CONNECTED)
         dets: list[Detection] = []
         for lab in range(1, n + 1):
             comp = labels == lab
-            if int(comp.sum()) < self.min_component_pixels:
+            if int(comp.sum()) < MIN_COMPONENT_PIXELS:
                 continue
             mask = BitMask(comp)
             dets.append(
@@ -197,7 +192,7 @@ class DetectorModel:
         if not boxes:
             return []
         probs = self.prob_map(image)
-        fired = probs >= self.score_threshold
+        fired = probs >= SCORE_THRESHOLD
         return [_mask_in_box(fired, box) for box in boxes]
 
     def mask_for_box(self, image: np.ndarray, box: AxisRect) -> BitMask:
@@ -275,8 +270,6 @@ def train(
         weights=w,
         bias=b,
         patch_radius=radius,
-        score_threshold=SCORE_THRESHOLD,
-        min_component_pixels=MIN_COMPONENT_PIXELS,
         rounds_seen=base.rounds_seen + 1 if base is not None else 0,
         epochs_trained=(base.epochs_trained if base is not None else 0) + cfg.epochs,
         seed=cfg.seed,
@@ -286,18 +279,15 @@ def train(
 def save_model(model: DetectorModel, path) -> None:
     """Binary layout: header struct then little-endian float64 parameters.
 
-    Header: magic 'TXBM', version u32, patch_radius u32, score_threshold
-    f64, min_component_pixels u32, rounds_seen u32, epochs_trained u32,
-    seed u64, n_params u64.  Parameters are the weight vector with the
-    bias appended.
+    Header (36 bytes): magic 'TXBM', version u32, patch_radius u32,
+    rounds_seen u32, epochs_trained u32, seed u64, n_params u64.
+    Parameters are the weight vector with the bias appended.
     """
     params = np.concatenate([model.weights, [model.bias]]).astype("<f8")
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
         model.patch_radius,
-        model.score_threshold,
-        model.min_component_pixels,
         model.rounds_seen,
         model.epochs_trained,
         model.seed,
@@ -313,9 +303,7 @@ def load_model(path) -> DetectorModel:
         blob = f.read()
     if len(blob) < _HEADER.size:
         raise ModelFormatError(f"{path}: file shorter than the model header")
-    magic, version, radius, thr, min_px, rounds, epochs, seed, n_params = _HEADER.unpack(
-        blob[: _HEADER.size]
-    )
+    magic, version, radius, rounds, epochs, seed, n_params = _HEADER.unpack(blob[: _HEADER.size])
     if magic != _MAGIC:
         raise ModelFormatError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
@@ -335,8 +323,6 @@ def load_model(path) -> DetectorModel:
             weights=params[:-1].astype(np.float64),
             bias=float(params[-1]),
             patch_radius=radius,
-            score_threshold=thr,
-            min_component_pixels=min_px,
             rounds_seen=rounds,
             epochs_trained=epochs,
             seed=seed,

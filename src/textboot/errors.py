@@ -50,7 +50,8 @@ class ModelFormatError(TextBootError):
 
 
 class UnknownImageError(TextBootError):
-    """Detections name image ids that the ground truth lacks."""
+    """Two collections keyed by image id disagree: detections name ids that
+    the ground truth lacks, or a pseudo set's ids are not its pool's."""
 
 
 class DisjointnessError(TextBootError):

@@ -32,7 +32,7 @@ from .detector import DetectorModel, TrainConfig, TrainExample, load_model, save
 from .errors import DimensionMismatchError, DisjointnessError, EmptyDatasetError, TextBootError
 from .evaluation import EvalConfig, EvalReport, evaluate
 from .strategies import (
-    _ALLOWED_TIERS, PseudoSet, StrategyConfig, annotate_pool, pseudo_to_dataset
+    _ALLOWED_TIERS, PseudoSet, StrategyConfig, annotate_pool, pool_labels, pseudo_to_dataset
 )
 
 # The pseudo-labelling strategies plus FULLY, the upper-bound setting.
@@ -97,7 +97,7 @@ def dataset_examples(dataset: Dataset) -> list[TrainExample]:
 
 def pseudo_examples(pool: Dataset, pseudo: PseudoSet) -> list[TrainExample]:
     """Pair each pool image with its pseudo masks as they are in memory, holes included."""
-    labels = dict(pseudo.per_image)
+    labels = pool_labels(pool, pseudo)
     return [
         TrainExample(read_image(pool, rec), tuple(d.mask for d in labels[rec.image_id]))
         for rec in pool.records
@@ -178,9 +178,10 @@ def run_pipeline(
     training) stops the run and returns the rounds finished so far, with
     the error as ``failure``; programming errors propagate.
     ``best_round`` is -1 when not even the baseline round finished.
-    A ``run_dir`` that already holds files, and a pool whose tier the
-    strategy cannot use (FULLY needs STRONG), are refused before anything
-    is written, so no artifact of an earlier run passes for this one's.
+    A ``run_dir`` that already holds files, a strong or test split that is
+    not STRONG, and a pool whose tier the strategy cannot use (FULLY needs
+    STRONG) are refused before anything is written, so no artifact of an
+    earlier run passes for this one's.
     """
     if not strong.records:
         raise EmptyDatasetError("the pixel-annotated training split is empty")
@@ -191,6 +192,8 @@ def run_pipeline(
     else:
         tiers = _ALLOWED_TIERS[Provenance[cfg.strategy.value]]
     require_tier(pool, tiers, f"a {cfg.strategy.value} run's pool")
+    require_tier(strong, (AnnotationTier.STRONG,), "a run's strong split")
+    require_tier(test, (AnnotationTier.STRONG,), "a run's test split")
     run_dir = Path(run_dir)
     if run_dir.is_dir() and any(run_dir.iterdir()):
         raise TextBootError(f"run directory {run_dir} is not empty")

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import AnnotationRecord, AnnotationTier, Dataset, Provenance, read_image, require_tier
+from .errors import UnknownImageError
 from .geometry import AxisRect, Detection, mask_to_polygon, rect_iou
 
 
@@ -141,6 +142,19 @@ def annotate_pool(
     return PseudoSet(strategy, round_index, tuple(sorted(results, key=lambda kv: kv[0])))
 
 
+def pool_labels(pool: Dataset, pseudo: PseudoSet) -> dict[str, tuple[Detection, ...]]:
+    """The set's labels by image id.  Raises UnknownImageError, naming the
+    first id in sorted order, unless the set's ids are exactly the pool's."""
+    labels = dict(pseudo.per_image)
+    pool_ids = {rec.image_id for rec in pool.records}
+    odd = sorted(pool_ids ^ labels.keys())
+    if odd and odd[0] in pool_ids:
+        raise UnknownImageError(f"{odd[0]}: pool image missing from the pseudo set")
+    if odd:
+        raise UnknownImageError(f"{odd[0]}: pseudo-set image not in the pool")
+    return labels
+
+
 def pseudo_to_dataset(pool: Dataset, pseudo: PseudoSet) -> Dataset:
     """Serialize a PseudoSet as a pixel-annotated dataset.
 
@@ -149,12 +163,13 @@ def pseudo_to_dataset(pool: Dataset, pseudo: PseudoSet) -> Dataset:
     also record each label's score, repeated per outline so score lists
     stay aligned with polygon lists.  Images with no labels become empty
     pixel-tier records, so the whole pool is listed, as retraining sees it.
+    The set must label exactly the pool's images (see ``pool_labels``).
     """
-    by_id = dict(pseudo.per_image)
+    by_id = pool_labels(pool, pseudo)
     scored = pseudo.provenance is not Provenance.LOCAL
     records = []
     for rec in pool.records:
-        labels = by_id.get(rec.image_id, ())
+        labels = by_id[rec.image_id]
         polygons: list = []
         scores: list[float] = []
         for d in labels:

@@ -208,6 +208,26 @@ def test_run_fully_refuses_a_weak_pool_before_writing(cli_world, tmp_path, capsy
     assert (tmp_path / "run" / "round_000" / "model.bin").is_file()
 
 
+@pytest.mark.parametrize("split", ["strong", "test"])
+def test_run_refuses_a_weak_split_before_writing(cli_world, tmp_path, capsys, split):
+    root = cli_world
+    assert main(["split", str(root / "test" / "dataset.manifest"),
+                 "--out", str(tmp_path / "tsplit"), "--strong-fraction", "0.2",
+                 "--seed", "3"]) == 0
+    weak_path = tmp_path / "tsplit" / "rest.manifest"
+    weak = load_dataset(weak_path).records[0]
+    assert weak.tier is AnnotationTier.WEAK
+    args = _run_args(root, tmp_path / "run")
+    if split == "strong":  # the train images' strong split becomes the test split
+        args[args.index("--test") + 1] = args[args.index("--strong") + 1]
+    args[args.index(f"--{split}") + 1] = str(weak_path)
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {weak.image_id}: a run's {split} split needs tier STRONG, got WEAK\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_filter_on_none_pool_fails_with_diagnostic(cli_world, tmp_path, capsys):
     root = cli_world
     assert main(["split", str(root / "train" / "dataset.manifest"),

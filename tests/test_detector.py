@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +15,11 @@ from scipy.special import expit
 
 import textboot
 from textboot.data import AnnotationTier, SceneSpec, generate_synthetic, read_pgm
+from textboot import detector
 from textboot.detector import (
     _HEADER,
+    MIN_COMPONENT_PIXELS,
+    SCORE_THRESHOLD,
     DetectorModel,
     TrainConfig,
     TrainExample,
@@ -135,8 +137,7 @@ def _float64_prob_map(model, image):
 def _random_model(rng, radius, scale=1.0):
     return DetectorModel(
         weights=rng.normal(0.0, scale, feature_dim(radius)), bias=float(rng.normal(0.0, scale)),
-        patch_radius=radius, score_threshold=0.5, min_component_pixels=8,
-        rounds_seen=0, epochs_trained=1, seed=0,
+        patch_radius=radius, rounds_seen=0, epochs_trained=1, seed=0,
     )
 
 
@@ -486,35 +487,27 @@ def test_detect_scores_sorted_and_masks_disjoint(easy_world):
         for d in dets:
             assert not (seen & d.mask.pixels).any()
             seen |= d.mask.pixels
-            assert d.mask.count >= model.min_component_pixels
+            assert d.mask.count >= MIN_COMPONENT_PIXELS
 
 
-def test_detect_respects_min_component_pixels(easy_world):
+def test_detect_respects_min_component_pixels(easy_world, monkeypatch):
     _, examples, model = easy_world
-    big = DetectorModel(
-        weights=model.weights,
-        bias=model.bias,
-        patch_radius=model.patch_radius,
-        score_threshold=model.score_threshold,
-        min_component_pixels=10_000,
-        rounds_seen=model.rounds_seen,
-        epochs_trained=model.epochs_trained,
-        seed=model.seed,
-    )
-    assert all(big.detect(ex.image) == [] for ex in examples[8:])
+    assert any(model.detect(ex.image) for ex in examples[8:])
+    monkeypatch.setattr(detector, "MIN_COMPONENT_PIXELS", 10_000)
+    assert all(model.detect(ex.image) == [] for ex in examples[8:])
 
 
 # --- mask_for_box ------------------------------------------------------------
 
 
-def test_mask_for_full_image_box_equals_thresholded_map(easy_world):
+def test_mask_for_full_image_box_equals_thresholded_map(easy_world, monkeypatch):
     _, examples, model = easy_world
     ex = examples[8]
     h, w = ex.image.shape
-    for threshold in (model.score_threshold, 0.8):  # LOCAL uses the model's own threshold
-        m = replace(model, score_threshold=threshold)
-        got = m.mask_for_box(ex.image, AxisRect(0, 0, w, h))
-        expect = m.prob_map(ex.image) >= threshold
+    for threshold in (SCORE_THRESHOLD, 0.8):  # LOCAL thresholds as detect does
+        monkeypatch.setattr(detector, "SCORE_THRESHOLD", threshold)
+        got = model.mask_for_box(ex.image, AxisRect(0, 0, w, h))
+        expect = model.prob_map(ex.image) >= threshold
         assert np.array_equal(got.pixels, expect), threshold
 
 
@@ -607,11 +600,11 @@ def test_save_load_round_trip_is_bit_exact(easy_world, tmp_path):
     path = tmp_path / "model.bin"
     save_model(model, path)
     back = load_model(path)
+    assert _HEADER.size == 36
+    assert path.stat().st_size == _HEADER.size + 8 * (feature_dim(model.patch_radius) + 1)
     assert back.weights.tobytes() == model.weights.tobytes()
     assert back.bias == model.bias
     assert back.patch_radius == model.patch_radius
-    assert back.score_threshold == model.score_threshold
-    assert back.min_component_pixels == model.min_component_pixels
     assert back.rounds_seen == model.rounds_seen
     assert back.epochs_trained == model.epochs_trained
     assert back.seed == model.seed
@@ -664,33 +657,30 @@ def test_load_rejects_corrupt_files(easy_world, tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(padded)
 
+    # A whole file in the first format, whose header also held the two
+    # inference thresholds, is refused by its version before anything else.
+    v1_header = struct.Struct("<4sIIdIIIQQ").pack(
+        b"TXBM", 1, model.patch_radius, 0.5, 8,
+        model.rounds_seen, model.epochs_trained, model.seed, feature_dim(model.patch_radius) + 1,
+    )
+    v1 = tmp_path / "v1.bin"
+    v1.write_bytes(v1_header + blob[_HEADER.size :])
+    with pytest.raises(ModelFormatError) as ei:
+        load_model(v1)
+    assert str(ei.value) == f"{v1}: unsupported model version 1"
+
 
 def test_load_names_the_file_of_a_header_the_model_refuses(easy_world, tmp_path):
-    """Thresholds out of range and non-finite parameters fail as a
-    ModelFormatError naming the file, not as a model that detects nothing."""
+    """Non-finite parameters fail as a ModelFormatError naming the file,
+    not as a model that detects nothing."""
     _, _, model = easy_world
     path = tmp_path / "model.bin"
     save_model(model, path)
-    blob = path.read_bytes()
-    header, params = list(_HEADER.unpack(blob[: _HEADER.size])), blob[_HEADER.size :]
-
-    def with_field(i, value):  # header field 3 is score_threshold, 4 min_component_pixels
-        return _HEADER.pack(*header[:i], value, *header[i + 1 :]) + params
-
-    nan = float("nan")
-    cases = [with_field(3, 2.0), with_field(3, nan), with_field(3, 0.0), with_field(4, 0)]
-    cases.append(blob[:-8] + struct.pack("<d", nan))  # the bias
-    for i, content in enumerate(cases):
-        bad = tmp_path / f"bad{i}.bin"
-        bad.write_bytes(content)
-        with pytest.raises(ModelFormatError) as ei:
-            load_model(bad)
-        assert str(ei.value).startswith(f"{bad}: ")
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", float("nan")))  # the bias
+    with pytest.raises(ModelFormatError) as ei:
+        load_model(bad)
     assert str(ei.value) == f"{bad}: model parameters must be finite"
-    with pytest.raises(ValueError):
-        replace(model, score_threshold=1.0)
-    with pytest.raises(ValueError):
-        replace(model, min_component_pixels=0)
 
 
 def test_model_validates_parameter_count():
@@ -699,8 +689,6 @@ def test_model_validates_parameter_count():
             weights=np.zeros(5),
             bias=0.0,
             patch_radius=2,
-            score_threshold=0.5,
-            min_component_pixels=8,
             rounds_seen=0,
             epochs_trained=0,
             seed=0,

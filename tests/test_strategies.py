@@ -14,8 +14,9 @@ from textboot.data import (
     read_pgm,
 )
 from textboot.detector import TrainConfig, train
-from textboot.errors import TierError
+from textboot.errors import TierError, UnknownImageError
 from textboot.geometry import AxisRect, BitMask, Detection, mask_iou, rasterize, rect_iou
+from textboot.orchestrator import pseudo_examples
 from textboot.strategies import (
     Provenance,
     PseudoSet,
@@ -384,3 +385,19 @@ def test_pseudo_to_dataset_empty_set_keeps_pool_as_negatives(weak_world):
     for rec in out.records:
         assert rec.tier is AnnotationTier.STRONG
         assert rec.polygons == () and rec.scores is None
+
+
+def test_a_pseudo_set_that_is_not_its_pools_is_refused(weak_world):
+    _, _, weak_pool, _ = weak_world
+    ids = sorted(r.image_id for r in weak_pool.records)
+    missing = PseudoSet(Provenance.NAIVE, 1, per_image=tuple((i, ()) for i in ids[1:]))
+    foreign = PseudoSet(
+        Provenance.NAIVE, 1, per_image=tuple((i, ()) for i in sorted(ids + ["elsewhere"]))
+    )
+    for convert in (pseudo_to_dataset, pseudo_examples):
+        with pytest.raises(UnknownImageError) as ei:
+            convert(weak_pool, missing)
+        assert str(ei.value) == f"{ids[0]}: pool image missing from the pseudo set"
+        with pytest.raises(UnknownImageError) as ei:
+            convert(weak_pool, foreign)
+        assert str(ei.value) == "elsewhere: pseudo-set image not in the pool"
