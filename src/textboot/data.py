@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyDatasetError, ImageError, ManifestError, TextBootError, TierError
-from .geometry import AxisRect, BitMask, Polygon, rasterize
+from .geometry import AxisRect, BitMask, Polygon, rasterize, vertex_bbox
 
 
 class Provenance(enum.Enum):
@@ -124,7 +124,7 @@ _KEY_RE = re.compile(r"^([a-z_]+)=(.*)$", re.DOTALL)
 
 
 def _format_floats(vals) -> str:
-    return ",".join(repr(float(v)) for v in vals)
+    return ",".join(map(repr, np.asarray(vals, dtype=np.float64).tolist()))
 
 
 def save_dataset(d: Dataset, manifest_path) -> None:
@@ -398,6 +398,17 @@ def split_dataset(
     )
 
 
+_BACKGROUND_LEVEL = 92.0
+_CURVATURE = (0.012, 0.05)  # ribbon arc curvature range, 1/px
+_DISTRACTOR_A = (4.5, 7.5)  # distractor semi-axis ranges, px
+_DISTRACTOR_B = (4.0, 6.0)
+_DISTRACTOR_GAP = 2.0  # least px between a distractor's enclosing square and the frame edge
+_DISTRACTOR_LIFT = (18.0, 30.0)  # gray levels
+_TEXTURE_CELL = 12  # px between the background texture's grid points
+# The least frame side that fits the largest distractor square and its gaps: 19 px.
+_MIN_SIDE = math.ceil(2 * max(_DISTRACTOR_A[1], _DISTRACTOR_B[1]) + 2 * _DISTRACTOR_GAP)
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Knobs for the synthetic curved-ribbon scene generator.
@@ -425,8 +436,10 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.n_images < 1:
             raise ValueError(f"n_images must be >= 1, got {self.n_images}")
-        if self.width < 16 or self.height < 16:
-            raise ValueError(f"scene dims must be at least 16x16, got {self.width}x{self.height}")
+        if self.width < _MIN_SIDE or self.height < _MIN_SIDE:
+            raise ValueError(
+                f"scene dims must be at least {_MIN_SIDE}x{_MIN_SIDE}, got {self.width}x{self.height}"
+            )
         for name in ("instances_per_image", "stroke_width", "ribbon_lift", "illumination",
                      "distractors_per_image"):
             lo, hi = getattr(self, name)
@@ -436,12 +449,6 @@ class SceneSpec:
             raise ValueError("instances_per_image must be >= 0 and stroke_width >= 2")
         if not 0.0 <= self.noise_level <= 1.0:
             raise ValueError(f"noise_level must lie in [0, 1], got {self.noise_level}")
-
-
-_BACKGROUND_LEVEL = 92.0
-_CURVATURE = (0.012, 0.05)  # ribbon arc curvature range, 1/px
-_DISTRACTOR_LIFT = (18.0, 30.0)  # gray levels
-_TEXTURE_CELL = 12  # px between the background texture's grid points
 
 
 def generate_synthetic(spec: SceneSpec, out_dir) -> Dataset:
@@ -524,15 +531,22 @@ def _smooth_field(rng: np.random.Generator, h: int, w: int, cell: int) -> np.nda
 
 
 def _place_ribbon(rng, spec: SceneSpec, taken: list[AxisRect], tries: int = 25):
+    """The frame and overlap tests run on the ring's box, so only a ring
+    that passes them is checked for simplicity; the check draws nothing
+    from ``rng``."""
     h, w = spec.height, spec.width
     for _ in range(tries):
-        poly = _ribbon_polygon(rng, spec)
-        if poly is None:
+        ring = _ribbon_ring(rng, spec)
+        if ring is None:
             continue
-        bb = poly.bounding_box()
+        bb = vertex_bbox(ring)
         if bb.x_min < 1 or bb.y_min < 1 or bb.x_max > w - 1 or bb.y_max > h - 1:
             continue
         if any(_boxes_touch(bb, other, pad=7.0) for other in taken):
+            continue
+        try:
+            poly = Polygon(ring)
+        except ValueError:
             continue
         mask = rasterize(poly, w, h)
         if mask.count < 9:
@@ -541,7 +555,9 @@ def _place_ribbon(rng, spec: SceneSpec, taken: list[AxisRect], tries: int = 25):
     return None
 
 
-def _ribbon_polygon(rng, spec: SceneSpec):
+def _ribbon_ring(rng, spec: SceneSpec):
+    """Vertices of a stroke swept along a random arc: its left side, then
+    its right side backwards.  None when the stroke cannot fit the frame."""
     stroke = int(rng.integers(spec.stroke_width[0], spec.stroke_width[1] + 1))
     half = stroke / 2.0
     margin = half + 3.0
@@ -559,30 +575,29 @@ def _ribbon_polygon(rng, spec: SceneSpec):
     ds = length / (n - 1)
     xs = x0 + np.concatenate([[0.0], np.cumsum(np.cos(theta[:-1]) * ds)])
     ys = y0 + np.concatenate([[0.0], np.cumsum(np.sin(theta[:-1]) * ds)])
-    nx = -np.sin(theta)
-    ny = np.cos(theta)
-    left = np.stack([xs + half * nx, ys + half * ny], axis=1)
-    right = np.stack([xs - half * nx, ys - half * ny], axis=1)
-    ring = np.concatenate([left, right[::-1]], axis=0)
-    try:
-        return Polygon(ring)
-    except ValueError:
-        return None
+    ox = half * -np.sin(theta)
+    oy = half * np.cos(theta)
+    ring = np.empty((2 * n, 2))
+    ring[:n, 0] = xs + ox
+    ring[:n, 1] = ys + oy
+    ring[n:, 0] = (xs - ox)[::-1]
+    ring[n:, 1] = (ys - oy)[::-1]
+    return ring
 
 
 def _place_ellipse(rng, spec: SceneSpec, avoid: list[AxisRect], tries: int = 15):
     h, w = spec.height, spec.width
     for _ in range(tries):
-        a = rng.uniform(4.5, 7.5)
-        b = rng.uniform(4.0, 6.0)
+        a = rng.uniform(*_DISTRACTOR_A)
+        b = rng.uniform(*_DISTRACTOR_B)
         phi = rng.uniform(0.0, np.pi)
         r = max(a, b)
-        cx = rng.uniform(r + 2, w - r - 2)
-        cy = rng.uniform(r + 2, h - r - 2)
+        cx = rng.uniform(r + _DISTRACTOR_GAP, w - r - _DISTRACTOR_GAP)
+        cy = rng.uniform(r + _DISTRACTOR_GAP, h - r - _DISTRACTOR_GAP)
         bb = AxisRect(cx - r, cy - r, cx + r, cy + r)
         if any(_boxes_touch(bb, other, pad=4.0) for other in avoid):
             continue
-        yy, xx = np.mgrid[0:h, 0:w]
+        yy, xx = np.ogrid[0:h, 0:w]
         u = (xx + 0.5 - cx) * np.cos(phi) + (yy + 0.5 - cy) * np.sin(phi)
         v = -(xx + 0.5 - cx) * np.sin(phi) + (yy + 0.5 - cy) * np.cos(phi)
         return (u / a) ** 2 + (v / b) ** 2 <= 1.0

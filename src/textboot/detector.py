@@ -28,7 +28,7 @@ from scipy import ndimage
 from scipy.special import expit
 
 from .errors import EmptyTrainingSetError, ModelFormatError, NonFiniteLossError
-from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, mask_bbox
+from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection
 
 # The same for every model: a pixel is text when p >= the threshold (the
 # symmetric point of the BCE loss), and a proposal needs 8 such pixels.
@@ -171,15 +171,18 @@ class DetectorModel:
         probs = self.prob_map(image)
         fired = probs >= SCORE_THRESHOLD
         labels, n = ndimage.label(fired, structure=FOUR_CONNECTED)
+        sizes = np.bincount(labels.reshape(-1), minlength=n + 1)
         dets: list[Detection] = []
-        for lab in range(1, n + 1):
-            comp = labels == lab
-            if int(comp.sum()) < MIN_COMPONENT_PIXELS:
+        for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), 1):
+            if sizes[lab] < MIN_COMPONENT_PIXELS:
                 continue
-            mask = BitMask(comp)
-            dets.append(
-                Detection(box=mask_bbox(mask), mask=mask, score=float(probs[comp].mean()))
-            )
+            crop = labels[rows, cols] == lab
+            comp = np.zeros(labels.shape, dtype=bool)
+            comp[rows, cols] = crop
+            # The crop holds the component's pixels in the frame's row-major order.
+            score = float(probs[rows, cols][crop].mean())
+            box = AxisRect(float(cols.start), float(rows.start), float(cols.stop), float(rows.stop))
+            dets.append(Detection(box=box, mask=BitMask(comp), score=score))
         dets.sort(key=lambda d: -d.score)
         return dets
 

@@ -80,7 +80,7 @@ class Polygon:
         v = np.array(self.vertices, dtype=np.float64)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ValueError(f"polygon needs an (n, 2) vertex array, n >= 3; got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("polygon vertices must be finite")
         _check_simple(v)
         v.flags.writeable = False
@@ -95,29 +95,44 @@ class Polygon:
         return hash((self.vertices + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
 
     def bounding_box(self) -> AxisRect:
-        (x_min, y_min), (x_max, y_max) = self.vertices.min(axis=0), self.vertices.max(axis=0)
-        return AxisRect(float(x_min), float(y_min), float(x_max), float(y_max))
+        return vertex_bbox(self.vertices)
+
+
+def vertex_bbox(v: np.ndarray) -> AxisRect:
+    """Tightest box around the rows of an (n, 2) float64 vertex array."""
+    (x_min, y_min), (x_max, y_max) = v.min(axis=0), v.max(axis=0)
+    return AxisRect(float(x_min), float(y_min), float(x_max), float(y_max))
 
 
 def _check_simple(p: np.ndarray) -> None:
     """Reject zero-length edges and proper edge crossings of ring ``p``.  Raises ValueError."""
     n = len(p)
-    q = np.roll(p, -1, axis=0)  # edge k runs p[k] -> q[k]
-    if np.any(np.all(p == q, axis=1)):
+    q = np.concatenate((p[1:], p[:1]))  # edge k runs p[k] -> q[k]
+    if (p == q).all(axis=1).any():
         raise ValueError("polygon has a zero-length edge")
 
-    px, py = p[:, :1], p[:, 1:]  # column vectors: edge i starts at (px[i], py[i])
+    x, y = p[:, 0], p[:, 1]
+    px, py = x[:, None], y[:, None]  # column vectors: edge i starts at (px[i], py[i])
     dx, dy = q[:, :1] - px, q[:, 1:] - py
-    # o1[i, j], o2[i, j]: cross(d[i], p[j] - p[i]) and cross(d[i], q[j] - p[i])
-    o1 = dx * (p[:, 1] - py) - dy * (p[:, 0] - px)
-    o2 = dx * (q[:, 1] - py) - dy * (q[:, 0] - px)
-
-    gap = (np.arange(n) - np.arange(n)[:, None]) % n
-    nonadjacent = (gap != 0) & (gap != 1) & (gap != n - 1)
+    # o1[i, j] = cross(d[i], p[j] - p[i]), built in place
+    o1 = y - py
+    o1 *= dx
+    t = x - px
+    t *= dy
+    o1 -= t
+    # q[j] is p[j + 1], so cross(d[i], q[j] - p[i]) is o1[i, j + 1]: t becomes o1 * o2.
+    np.multiply(o1[:, :-1], o1[:, 1:], out=t[:, :-1])
+    np.multiply(o1[:, -1], o1[:, 0], out=t[:, -1])
 
     # Proper crossing: each segment's endpoints strictly straddle the other.
-    split = o1 * o2 < 0
-    if np.any(split & split.T & nonadjacent):
+    # An edge and itself or a neighbour share an endpoint and never cross.
+    split = t < 0
+    flat = split.reshape(-1)
+    flat[:: n + 1] = False  # j == i
+    flat[1 :: n + 1] = False  # j == i + 1
+    flat[n :: n + 1] = False  # j == i - 1
+    split[0, -1] = split[-1, 0] = False  # edges 0 and n - 1 meet at p[0]
+    if (split & split.T).any():
         raise ValueError("polygon edges cross")
 
 
@@ -217,12 +232,11 @@ def mask_iou(a: BitMask, b: BitMask) -> float:
 
 def mask_bbox(m: BitMask) -> AxisRect:
     """Tightest half-open box around the set pixels."""
-    rows, cols = np.nonzero(m.pixels)
+    rows = np.flatnonzero(m.pixels.any(axis=1))
     if rows.size == 0:
         raise EmptyMaskError("cannot take the bounding box of an empty mask")
-    return AxisRect(
-        float(cols.min()), float(rows.min()), float(cols.max()) + 1.0, float(rows.max()) + 1.0
-    )
+    cols = np.flatnonzero(m.pixels.any(axis=0))
+    return AxisRect(float(cols[0]), float(rows[0]), float(cols[-1]) + 1.0, float(rows[-1]) + 1.0)
 
 
 def mask_to_polygon(m: BitMask) -> list[Polygon]:

@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from textboot import data
 from textboot.errors import TextBootError
-from textboot.geometry import FOUR_CONNECTED, BitMask, Polygon
+from textboot.geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, Polygon, rasterize
 
 BRUTE_FORCE_CAP = 8
 
@@ -60,3 +61,78 @@ def fill_holes_per_component(mask: BitMask) -> BitMask:
     for k in range(1, n + 1):
         out |= ndimage.binary_fill_holes(labels == k, structure=np.ones((3, 3), dtype=bool))
     return BitMask(out)
+
+
+class ValidateFirstRibbons:
+    """The generator's ribbon placement with the simplicity check first:
+    each candidate becomes a ``Polygon`` before its box is tested against
+    the frame and the ribbons already placed.  ``rejected`` counts the
+    candidates that ``Polygon`` refused.  Use it in place of
+    ``data._place_ribbon``."""
+
+    def __init__(self) -> None:
+        self.rejected = 0
+
+    def __call__(self, rng, spec, taken: list[AxisRect], tries: int = 25):
+        h, w = spec.height, spec.width
+        for _ in range(tries):
+            poly = self._polygon(rng, spec)
+            if poly is None:
+                continue
+            bb = poly.bounding_box()
+            if bb.x_min < 1 or bb.y_min < 1 or bb.x_max > w - 1 or bb.y_max > h - 1:
+                continue
+            if any(data._boxes_touch(bb, other, pad=7.0) for other in taken):
+                continue
+            mask = rasterize(poly, w, h)
+            if mask.count < 9:
+                continue
+            return poly, mask.pixels
+        return None
+
+    def _polygon(self, rng, spec):
+        stroke = int(rng.integers(spec.stroke_width[0], spec.stroke_width[1] + 1))
+        half = stroke / 2.0
+        margin = half + 3.0
+        if 2 * margin >= min(spec.width, spec.height):
+            return None
+        length = rng.uniform(0.35, 0.55) * min(spec.width, spec.height)
+        kappa = rng.uniform(*data._CURVATURE) * (1.0 if rng.random() < 0.5 else -1.0)
+        theta0 = rng.uniform(0.0, 2.0 * np.pi)
+        x0 = rng.uniform(margin, spec.width - margin)
+        y0 = rng.uniform(margin, spec.height - margin)
+
+        n = max(9, int(length / 2.5))
+        s = np.linspace(0.0, length, n)
+        theta = theta0 + kappa * s
+        ds = length / (n - 1)
+        xs = x0 + np.concatenate([[0.0], np.cumsum(np.cos(theta[:-1]) * ds)])
+        ys = y0 + np.concatenate([[0.0], np.cumsum(np.sin(theta[:-1]) * ds)])
+        nx = -np.sin(theta)
+        ny = np.cos(theta)
+        left = np.stack([xs + half * nx, ys + half * ny], axis=1)
+        right = np.stack([xs - half * nx, ys - half * ny], axis=1)
+        ring = np.concatenate([left, right[::-1]], axis=0)
+        try:
+            return Polygon(ring)
+        except ValueError:
+            self.rejected += 1
+            return None
+
+
+def per_label_detect(probs: np.ndarray, threshold: float, min_pixels: int) -> list[Detection]:
+    """Detections as full-frame passes per label: each component's mask,
+    size, box and mean probability taken from the whole frame."""
+    labels, n = ndimage.label(probs >= threshold, structure=FOUR_CONNECTED)
+    dets = []
+    for lab in range(1, n + 1):
+        comp = labels == lab
+        if int(comp.sum()) < min_pixels:
+            continue
+        rows, cols = np.nonzero(comp)
+        box = AxisRect(
+            float(cols.min()), float(rows.min()), float(cols.max()) + 1.0, float(rows.max()) + 1.0
+        )
+        dets.append(Detection(box=box, mask=BitMask(comp), score=float(probs[comp].mean())))
+    dets.sort(key=lambda d: -d.score)
+    return dets

@@ -95,6 +95,13 @@ def test_synth_rejects_bad_spec(capsys, tmp_path):
     assert "invalid value" in capsys.readouterr().err
 
 
+def test_synth_refuses_a_frame_below_the_minimum(capsys, tmp_path):
+    args = ["synth", "--n-images", "1", "--width", "18", "--height", "18"]
+    assert main(args + ["--out", str(tmp_path / "x")]) == 1
+    assert "invalid value: scene dims must be at least 19x19, got 18x18" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # --- split -------------------------------------------------------------------
 
 

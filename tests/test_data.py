@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from textboot import data
 from textboot.data import (
     AnnotationRecord,
     AnnotationTier,
@@ -21,6 +22,7 @@ from textboot.errors import (
     TierError,
 )
 from textboot.geometry import AxisRect, BitMask, Polygon, mask_iou, rasterize
+from tests.oracles import ValidateFirstRibbons
 
 
 def tri(ox=0.0, oy=0.0):
@@ -306,6 +308,46 @@ def test_scene_spec_validation():
         SceneSpec(n_images=1, ribbon_lift=(90.0, 50.0))
     with pytest.raises(ValueError):
         SceneSpec(n_images=1, noise_level=1.5)
+
+
+def test_scene_spec_refuses_a_frame_its_distractors_cannot_fit(tmp_path):
+    """A distractor's enclosing square is up to 15 px, 2 px from each edge."""
+    for dims in ((18, 18), (18, 80), (80, 18)):
+        with pytest.raises(ValueError, match=r"at least 19x19, got \d+x\d+"):
+            SceneSpec(n_images=1, width=dims[0], height=dims[1])
+    for seed in range(8):
+        ds = generate_synthetic(
+            SceneSpec(n_images=4, width=19, height=19, seed=seed), tmp_path / str(seed)
+        )
+        assert [read_pgm(r.image_path).shape for r in ds.records] == [(19, 19)] * 4
+
+
+def _world_bytes(spec: SceneSpec, out) -> list[bytes]:
+    generate_synthetic(spec, out)
+    return [f.read_bytes() for f in sorted(out.iterdir())]
+
+
+# Default 80x80 frames, gate 5's thin and thick strokes, a small frame, and
+# strokes wider than the tightest arc radius (20 px), whose rings often cross.
+_PLACEMENT_SPECS = {
+    "default": dict(n_images=30, seed=101),
+    "default-test": dict(n_images=30, seed=202, prefix="test"),
+    "thin": dict(n_images=20, seed=301, stroke_width=(4, 5), illumination=(-8.0, 8.0)),
+    "thick": dict(n_images=20, seed=401, stroke_width=(7, 8), illumination=(10.0, 50.0)),
+    "48x40": dict(n_images=20, seed=9, width=48, height=40),
+    "wide-strokes": dict(n_images=12, seed=3, width=200, height=200, stroke_width=(42, 46)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PLACEMENT_SPECS))
+def test_ribbons_placed_before_validation_give_the_validate_first_bytes(name, tmp_path, monkeypatch):
+    spec = SceneSpec(**_PLACEMENT_SPECS[name])
+    got = _world_bytes(spec, tmp_path / "new")
+    oracle = ValidateFirstRibbons()
+    monkeypatch.setattr(data, "_place_ribbon", oracle)
+    assert got == _world_bytes(spec, tmp_path / "oracle")
+    if name == "wide-strokes":
+        assert oracle.rejected > 0
 
 
 def test_generator_deterministic(tmp_path):

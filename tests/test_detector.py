@@ -37,6 +37,7 @@ from textboot.errors import (
 )
 from textboot.geometry import AxisRect, BitMask, mask_iou, rasterize
 from textboot.strategies import local_generate
+from tests.oracles import per_label_detect
 
 EASY = dict(
     width=64,
@@ -488,6 +489,32 @@ def test_detect_scores_sorted_and_masks_disjoint(easy_world):
             assert not (seen & d.mask.pixels).any()
             seen |= d.mask.pixels
             assert d.mask.count >= MIN_COMPONENT_PIXELS
+
+
+def _det_key(d):
+    b = d.box
+    return (b.x_min, b.y_min, b.x_max, b.y_max), d.mask.pixels.tobytes(), d.score
+
+
+def test_detect_matches_the_per_label_full_frame_oracle(easy_world):
+    """Boxes, masks and score bits, in order, against one full-frame pass
+    per component: on held-out scenes and on random models over noise,
+    whose maps break into many components, most below the size floor."""
+    _, examples, model = easy_world
+    rng = np.random.default_rng(41)
+    cases = [(model, ex.image) for ex in examples[8:]]
+    for _ in range(40):
+        radius = int(rng.integers(1, 4))
+        image = rng.integers(0, 256, (int(rng.integers(1, 60)), int(rng.integers(1, 60))))
+        cases.append((_random_model(rng, radius, scale=0.5), image.astype(np.uint8)))
+    n_dets = 0
+    for m, image in cases:
+        got = m.detect(image)
+        want = per_label_detect(m.prob_map(image), SCORE_THRESHOLD, MIN_COMPONENT_PIXELS)
+        assert [_det_key(d) for d in got] == [_det_key(d) for d in want]
+        assert all(type(v) is float for d in got for v in _det_key(d)[0])
+        n_dets += len(got)
+    assert n_dets >= 100
 
 
 def test_detect_respects_min_component_pixels(easy_world, monkeypatch):

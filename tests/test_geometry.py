@@ -145,6 +145,71 @@ def test_check_simple_matches_the_meshgrid_oracle():
     assert min(seen.values()) >= 100, seen
 
 
+def _swap_two(rng, verts):
+    out = np.array(verts, dtype=float)
+    i, j = rng.choice(len(out), 2, replace=False)
+    out[[i, j]] = out[[j, i]]
+    return out
+
+
+def test_check_simple_matches_the_meshgrid_oracle_on_long_rings():
+    """Rings as long as traced pseudo outlines (40-100 vertices) and
+    ribbons (22-34): traced masks, pinch corners included, rasterized stars
+    and random rings up to 120 vertices, each also with two vertices
+    swapped."""
+    rng = np.random.default_rng(29)
+    seen = dict.fromkeys(
+        ("simple", "polygon edges cross", "polygon has a zero-length edge", "pinched", "n >= 100"),
+        0,
+    )
+    rings = []
+    for i in range(400):
+        if i % 2:
+            m = _random_oracle_mask(rng)
+        else:
+            c = rng.uniform(14.0, 26.0, 2)
+            verts = random_star_polygon(rng, c[0], c[1], 4.0, 14.0, n_lo=8, n_hi=60)
+            m = rasterize(Polygon(verts), 40, 40).pixels
+        for poly in mask_to_polygon(BitMask(m)):
+            v = poly.vertices
+            seen["pinched"] += len({tuple(p) for p in v.tolist()}) < len(v)
+            rings += [v, _swap_two(rng, v)] if len(v) > 3 else [v]
+    for i in range(600):
+        n = int(rng.integers(3, 121))
+        if i % 3 == 0:
+            rings.append(rng.integers(0, int(rng.integers(4, 13)), (n, 2)).astype(float))
+        elif i % 3 == 1:
+            rings.append(rng.uniform(-5.0, 5.0, (n, 2)))
+        else:
+            star = random_star_polygon(rng, 0.0, 0.0, 2.0, 9.0, n_lo=max(n, 4), n_hi=max(n, 4))
+            rings += [np.array(star), _swap_two(rng, star)]
+    for verts in rings:
+        got = _verdict(_check_simple, verts)
+        assert got == _verdict(meshgrid_check_simple, verts), verts.tolist()
+        seen[got or "simple"] += 1
+        seen["n >= 100"] += len(verts) >= 100
+    assert max(len(v) for v in rings) >= 110
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("extra", [0, 6])
+def test_check_simple_finds_an_edge_crossing_the_one_after_next(extra):
+    """Edge 0 of this ring crosses edge 2.  Rotating the ring moves the pair
+    to every position, edge 0 against edge n - 2 (the wrap-around) among
+    them; ``extra`` collinear points lengthen an edge that crosses nothing."""
+    tail = np.linspace((2.0, -2.0), (0.0, -3.0), extra + 2)[1:]
+    ring = np.concatenate([[(0.0, 0.0), (4.0, 0.0), (3.0, 2.0), (2.0, -2.0)], tail])
+    n = len(ring)
+    for k in range(n):
+        for verts in (np.roll(ring, k, axis=0), np.roll(ring, k, axis=0)[::-1]):
+            assert _verdict(meshgrid_check_simple, verts) == "polygon edges cross"
+            assert _verdict(_check_simple, verts) == "polygon edges cross", (k, verts.tolist())
+    # Without the crossing (p[2] moved below edge 0), every rotation is simple.
+    ring[2] = (3.0, -1.0)
+    for k in range(n):
+        assert _verdict(_check_simple, np.roll(ring, k, axis=0)) is None
+
+
 def test_axis_rect_validation():
     with pytest.raises(ValueError):
         AxisRect(2, 0, 1, 1)
