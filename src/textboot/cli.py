@@ -41,7 +41,7 @@ from .errors import ImageError, TextBootError, UnknownImageError
 from .evaluation import EvalConfig, evaluate
 from .geometry import Detection, Polygon, mask_bbox
 from .orchestrator import PipelineConfig, Strategy, cross_domain_annotate, run_pipeline
-from .strategies import StrategyConfig
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -50,14 +50,6 @@ def _sha256(path: Path) -> str:
 def _choices(enum_type) -> list[str]:
     """The lower-case member names of an enum, as command-line choices."""
     return [member.name.lower() for member in enum_type]
-
-
-def _strategy_cfg(args) -> StrategyConfig:
-    return StrategyConfig(
-        score_threshold=args.score_s,
-        filter_score_threshold=args.score_sprime,
-        filter_iou_threshold=args.iou_t,
-    )
 
 
 # --- synth -------------------------------------------------------------------
@@ -107,13 +99,7 @@ def cmd_run(args) -> int:
     cfg = PipelineConfig(
         strategy=Strategy[args.strategy.upper()],
         rounds=args.rounds,
-        strategy_cfg=_strategy_cfg(args),
-        train_cfg=TrainConfig(
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        ),
+        train_cfg=TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed),
         eval_cfg=EvalConfig(iou_threshold=args.eval_iou),
     )
     run_dir = Path(args.out)
@@ -124,7 +110,6 @@ def cmd_run(args) -> int:
         "config": {
             "strategy": cfg.strategy.value,
             "rounds": cfg.planned_rounds,
-            "strategy_cfg": asdict(cfg.strategy_cfg),
             "train_cfg": asdict(cfg.train_cfg),
             "eval_iou": cfg.eval_cfg.iou_threshold,
         },
@@ -207,7 +192,6 @@ def cmd_annotate(args) -> int:
         pool,
         Path(args.out),
         Provenance[args.strategy.upper()],
-        _strategy_cfg(args),
         jobs=args.jobs,
     )
     print(f"annotated {len(pool.records)} images: {pseudo.count} pseudo instances -> {args.out}")
@@ -270,16 +254,6 @@ def cmd_convert(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
-    cfg = StrategyConfig()
-    p.add_argument("--score-s", type=float, default=cfg.score_threshold,
-                   help="score cutoff for the naive strategy (strict >)")
-    p.add_argument("--score-sprime", type=float, default=cfg.filter_score_threshold,
-                   help="score cutoff for the filter strategy (strict >)")
-    p.add_argument("--iou-t", type=float, default=cfg.filter_iou_threshold,
-                   help="box-IoU cutoff for the filter strategy (strict >)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="textboot",
@@ -321,11 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=training.seed,
                    help="training seed of round 0; round r trains with seed + r")
     p.add_argument("--epochs", type=int, default=training.epochs)
-    p.add_argument("--learning-rate", type=float, default=training.learning_rate)
     p.add_argument("--batch-size", type=int, default=training.batch_size)
     p.add_argument("--eval-iou", type=float, default=evaluation.iou_threshold)
     p.add_argument("--jobs", type=int, default=1)
-    _add_strategy_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="score a detection manifest against ground truth")
@@ -341,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=_choices(Provenance), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    _add_strategy_flags(p)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("convert", help="convert per-image polygon dumps to a manifest")

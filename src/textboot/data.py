@@ -405,6 +405,7 @@ _DISTRACTOR_B = (4.0, 6.0)
 _DISTRACTOR_GAP = 2.0  # least px between a distractor's enclosing square and the frame edge
 _DISTRACTOR_LIFT = (18.0, 30.0)  # gray levels
 _TEXTURE_CELL = 12  # px between the background texture's grid points
+_RIBBON_GAP = 3.0  # least px between the frame edge and a stroke's edge where its arc starts
 # The least frame side that fits the largest distractor square and its gaps: 19 px.
 _MIN_SIDE = math.ceil(2 * max(_DISTRACTOR_A[1], _DISTRACTOR_B[1]) + 2 * _DISTRACTOR_GAP)
 
@@ -416,7 +417,9 @@ class SceneSpec:
     Ribbons are bright strokes swept along random arcs over a textured
     background; distractors are dimmer elliptical smudges that are not
     text.  ``ribbon_lift`` and ``illumination`` are in gray levels.  The
-    arc curvature, distractor brightness and texture cell are fixed.
+    arc curvature, distractor brightness and texture cell are fixed.  Every
+    value must be finite, and the widest stroke plus a 3 px gap on each
+    side must fit inside the shorter frame side.
     """
 
     n_images: int
@@ -440,15 +443,28 @@ class SceneSpec:
             raise ValueError(
                 f"scene dims must be at least {_MIN_SIDE}x{_MIN_SIDE}, got {self.width}x{self.height}"
             )
-        for name in ("instances_per_image", "stroke_width", "ribbon_lift", "illumination",
-                     "distractors_per_image"):
+        ranges = ("instances_per_image", "stroke_width", "ribbon_lift", "illumination",
+                  "distractors_per_image")
+        for name in ranges + ("noise_level", "texture_amp", "pixel_noise"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ranges:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} range is empty: ({lo}, {hi})")
         if self.instances_per_image[0] < 0 or self.stroke_width[0] < 2:
             raise ValueError("instances_per_image must be >= 0 and stroke_width >= 2")
+        if self.stroke_width[1] + 2 * _RIBBON_GAP >= min(self.width, self.height):
+            raise ValueError(
+                f"stroke_width up to {self.stroke_width[1]} px leaves no room for a ribbon in a "
+                f"{self.width}x{self.height} frame"
+            )
         if not 0.0 <= self.noise_level <= 1.0:
             raise ValueError(f"noise_level must lie in [0, 1], got {self.noise_level}")
+        for name in ("texture_amp", "pixel_noise"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def generate_synthetic(spec: SceneSpec, out_dir) -> Dataset:
@@ -537,8 +553,6 @@ def _place_ribbon(rng, spec: SceneSpec, taken: list[AxisRect], tries: int = 25):
     h, w = spec.height, spec.width
     for _ in range(tries):
         ring = _ribbon_ring(rng, spec)
-        if ring is None:
-            continue
         bb = vertex_bbox(ring)
         if bb.x_min < 1 or bb.y_min < 1 or bb.x_max > w - 1 or bb.y_max > h - 1:
             continue
@@ -557,12 +571,10 @@ def _place_ribbon(rng, spec: SceneSpec, taken: list[AxisRect], tries: int = 25):
 
 def _ribbon_ring(rng, spec: SceneSpec):
     """Vertices of a stroke swept along a random arc: its left side, then
-    its right side backwards.  None when the stroke cannot fit the frame."""
+    its right side backwards."""
     stroke = int(rng.integers(spec.stroke_width[0], spec.stroke_width[1] + 1))
     half = stroke / 2.0
-    margin = half + 3.0
-    if 2 * margin >= min(spec.width, spec.height):
-        return None
+    margin = half + _RIBBON_GAP
     length = rng.uniform(0.35, 0.55) * min(spec.width, spec.height)
     kappa = rng.uniform(*_CURVATURE) * (1.0 if rng.random() < 0.5 else -1.0)
     theta0 = rng.uniform(0.0, 2.0 * np.pi)

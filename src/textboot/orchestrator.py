@@ -32,7 +32,7 @@ from .detector import DetectorModel, TrainConfig, TrainExample, load_model, save
 from .errors import DimensionMismatchError, DisjointnessError, EmptyDatasetError, TextBootError
 from .evaluation import EvalConfig, EvalReport, evaluate
 from .strategies import (
-    _ALLOWED_TIERS, PseudoSet, StrategyConfig, annotate_pool, pool_labels, pseudo_to_dataset
+    _ALLOWED_TIERS, PseudoSet, annotate_pool, pool_labels, pseudo_to_dataset
 )
 
 # The pseudo-labelling strategies plus FULLY, the upper-bound setting.
@@ -45,7 +45,6 @@ Strategy = enum.Enum(
 class PipelineConfig:
     strategy: Strategy
     rounds: int = 3
-    strategy_cfg: StrategyConfig = StrategyConfig()
     train_cfg: TrainConfig = TrainConfig()
     eval_cfg: EvalConfig = EvalConfig()
 
@@ -212,12 +211,7 @@ def run_pipeline(
             examples, base, pseudo_count = labelled, None, 0
             if r > 0:
                 pseudo = annotate_pool(
-                    models[-1],
-                    pool,
-                    Provenance[cfg.strategy.value],
-                    cfg.strategy_cfg,
-                    round_index=r,
-                    jobs=jobs,
+                    models[-1], pool, Provenance[cfg.strategy.value], round_index=r, jobs=jobs
                 )
                 save_dataset(pseudo_to_dataset(pool, pseudo), rdir / "pseudo.manifest")
                 pseudo_count = pseudo.count
@@ -255,7 +249,6 @@ def cross_domain_annotate(
     target_pool: Dataset,
     out: Path | str,
     strategy: Provenance = Provenance.LOCAL,
-    strategy_cfg: StrategyConfig = StrategyConfig(),
     jobs: int = 1,
 ) -> PseudoSet:
     """Annotate a pool, possibly of a new domain, with an already-trained model.
@@ -264,7 +257,7 @@ def cross_domain_annotate(
     the result as a pixel-annotated manifest at ``out`` and returns it;
     ``pseudo_examples(target_pool, result)`` is ready to train on.
     """
-    pseudo = annotate_pool(load_model(model_path), target_pool, strategy, strategy_cfg, jobs=jobs)
+    pseudo = annotate_pool(load_model(model_path), target_pool, strategy, jobs=jobs)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(pseudo_to_dataset(target_pool, pseudo), out)

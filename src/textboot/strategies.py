@@ -35,7 +35,15 @@ from .geometry import AxisRect, Detection, mask_to_polygon, rect_iou
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Selection thresholds; all comparisons are strict (>)."""
+    """NAIVE and FILTER selection thresholds; all comparisons are strict (>).
+
+    A library-level setting: a run and ``textboot annotate`` use these
+    defaults.  ``detect`` scores a component by the mean of pixels that
+    each reach ``SCORE_THRESHOLD`` (0.5), so every score is at least 0.5.
+    At the defaults FILTER's score bar therefore rejects nothing, NAIVE's
+    only a component whose every pixel is exactly 0.5, and FILTER selects
+    by its box-IoU bar alone.
+    """
 
     score_threshold: float = 0.5
     filter_score_threshold: float = 0.4

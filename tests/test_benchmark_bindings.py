@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from textboot import cli
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -40,3 +42,16 @@ def test_benchmark_workloads_run_at_a_tiny_scale(monkeypatch, tmp_path):
         world = workloads.setup(name, "tiny", 0, tmp_path / name / "world")
         rep = workloads.repeat(name, world, tmp_path / name / "rep")
         assert rep.ops and rep.failed == {}, (name, rep.failed)
+
+
+def test_benchmark_run_argv_parses_for_every_strategy_it_runs(monkeypatch, tmp_path):
+    workloads = _load(monkeypatch, "workloads")
+    manifests = {name: tmp_path / f"{name}.manifest"
+                 for name in ("strong", "weak", "truth", "test")}
+    world = workloads.World(tmp_path, manifests, {}, workloads.SCALES["bench"]["train_flags"])
+    for strategy, pool in (("local", "weak"), ("fully", "truth")):
+        argv = workloads._run_argv(world, strategy, tmp_path / strategy)
+        args = cli.build_parser().parse_args([str(a) for a in argv])
+        assert args.func is cli.cmd_run
+        assert (args.strategy, args.pool, args.rounds) == (strategy, str(manifests[pool]), 3)
+        assert (args.epochs, args.batch_size, args.jobs) == (8, 512, 1)

@@ -28,7 +28,6 @@ from textboot.data import (
 from textboot.detector import TrainConfig
 from textboot.evaluation import EvalConfig, evaluate
 from textboot.orchestrator import PipelineConfig, Strategy
-from textboot.strategies import StrategyConfig
 from textboot.cli import _manifest_detections
 from tests.test_detector import EASY
 
@@ -172,6 +171,7 @@ def test_run_local_full_artifacts_and_manifest(cli_world, tmp_path, capsys):
     assert man["tool_version"]
     assert "seed" not in man, "the seed is recorded once, as config.train_cfg.seed"
     assert man["config"]["strategy"] == "LOCAL"
+    assert man["config"].keys() == {"strategy", "rounds", "train_cfg", "eval_iou"}
     assert man["best_round"] in (0, 1)
     assert not man["incomplete"]
     for entry in man["inputs"].values():
@@ -320,13 +320,8 @@ def test_cli_defaults_come_from_the_dataclasses(cli_world, tmp_path):
     commands = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ).choices
-    strategy, train, scene = StrategyConfig(), TrainConfig(), SceneSpec(n_images=1)
+    train, scene = TrainConfig(), SceneSpec(n_images=1)
     pipeline, evaluation = PipelineConfig(strategy=Strategy.LOCAL), EvalConfig()
-    thresholds = {
-        "score_s": strategy.score_threshold,
-        "score_sprime": strategy.filter_score_threshold,
-        "iou_t": strategy.filter_iou_threshold,
-    }
     want = {
         "synth": {
             "width": scene.width,
@@ -335,15 +330,12 @@ def test_cli_defaults_come_from_the_dataclasses(cli_world, tmp_path):
             "prefix": scene.prefix,
         },
         "run": {
-            **thresholds,
             "rounds": pipeline.rounds,
             "seed": train.seed,
             "epochs": train.epochs,
-            "learning_rate": train.learning_rate,
             "batch_size": train.batch_size,
             "eval_iou": evaluation.iou_threshold,
         },
-        "annotate": thresholds,
         "eval": {"iou": evaluation.iou_threshold},
     }
     for command, fields in want.items():
@@ -351,21 +343,20 @@ def test_cli_defaults_come_from_the_dataclasses(cli_world, tmp_path):
         for dest, value in fields.items():
             assert defaults[dest] == value, f"{command} --{dest.replace('_', '-')}"
     # every argument each subcommand takes; adding or dropping one edits this table
-    strategy_flags = ["score_s", "score_sprime", "iou_t"]
     arguments = {
         "synth": ["out", "n_images", "width", "height", "seed", "prefix"],
         "split": ["manifest", "out", "strong_fraction", "downgrade", "seed"],
         "run": ["strong", "pool", "test", "out", "strategy", "rounds", "seed", "epochs",
-                "learning_rate", "batch_size", "eval_iou", "jobs", *strategy_flags],
+                "batch_size", "eval_iou", "jobs"],
         "eval": ["det", "gt", "iou", "report"],
-        "annotate": ["model", "pool", "strategy", "out", "jobs", *strategy_flags],
+        "annotate": ["model", "pool", "strategy", "out", "jobs"],
         "convert": ["images", "annotations", "out"],
     }
     assert {
         command: [a.dest for a in parser._actions if a.dest != "help"]
         for command, parser in commands.items()
     } == arguments
-    assert sum(map(len, arguments.values())) == 41
+    assert sum(map(len, arguments.values())) == 34
     # the strategy names come from the enums, and --seed is the training seed
     for command, names in (("run", Strategy), ("annotate", Provenance)):
         choices = {a.dest: a.choices for a in commands[command]._actions}["strategy"]

@@ -310,6 +310,40 @@ def test_scene_spec_validation():
         SceneSpec(n_images=1, noise_level=1.5)
 
 
+_UNUSABLE_SPECS = {
+    "negative-pixel-noise": (dict(pixel_noise=-1.0), r"pixel_noise must be >= 0, got -1\.0"),
+    "negative-texture": (dict(texture_amp=-0.5), r"texture_amp must be >= 0, got -0\.5"),
+    "nan-texture": (dict(texture_amp=float("nan")), r"texture_amp must be finite, got nan"),
+    "inf-pixel-noise": (dict(pixel_noise=float("inf")), r"pixel_noise must be finite, got inf"),
+    "nan-speckle": (dict(noise_level=float("nan")), r"noise_level must be finite, got nan"),
+    "nan-lift": (
+        dict(ribbon_lift=(float("nan"), 50.0)), r"ribbon_lift must be finite, got \(nan, 50\.0\)"
+    ),
+    "inf-illumination": (
+        dict(illumination=(-float("inf"), 0.0)), r"illumination must be finite, got \(-inf, 0\.0\)"
+    ),
+    "stroke-too-wide": (
+        dict(width=19, height=19, stroke_width=(14, 14)), r"stroke_width up to 14 px .* 19x19"
+    ),
+    "widest-stroke-too-wide": (
+        dict(width=80, height=19, stroke_width=(5, 13)), r"stroke_width up to 13 px .* 80x19"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNUSABLE_SPECS))
+def test_scene_spec_refuses_a_value_the_generator_cannot_use(name):
+    values, message = _UNUSABLE_SPECS[name]
+    with pytest.raises(ValueError, match=message):
+        SceneSpec(n_images=1, **values)
+
+
+def test_the_widest_stroke_a_frame_takes_still_gets_ribbons(tmp_path):
+    """A stroke 6 px below the shorter side fits, with 3 px to spare each side."""
+    spec = SceneSpec(n_images=6, width=40, height=19, stroke_width=(12, 12), seed=1)
+    assert sum(len(r.polygons) for r in generate_synthetic(spec, tmp_path).records) > 0
+
+
 def test_scene_spec_refuses_a_frame_its_distractors_cannot_fit(tmp_path):
     """A distractor's enclosing square is up to 15 px, 2 px from each edge."""
     for dims in ((18, 18), (18, 80), (80, 18)):

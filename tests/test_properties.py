@@ -1,17 +1,18 @@
-"""Property tests for the file formats: PGM images and dataset manifests.
+"""Property tests for the file formats and for the detector's scores.
 
-Every readable input either loads or raises the package's typed error,
-and every value the writers accept reads back unchanged.  Examples are
-derandomized, no example database is kept and Hypothesis's caches go to a
-temporary directory, so the suite is deterministic and leaves nothing in
-the working tree.
+Every readable PGM image or dataset manifest either loads or raises the
+package's typed error, and every value the writers accept reads back
+unchanged.  Every detection scores at least ``SCORE_THRESHOLD``.
+Examples are derandomized, no example database is kept and Hypothesis's
+caches go to a temporary directory, so the suite is deterministic and
+leaves nothing in the working tree.
 """
 
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -26,6 +27,7 @@ from textboot.data import (
     save_dataset,
     write_pgm,
 )
+from textboot.detector import SCORE_THRESHOLD, DetectorModel, feature_dim
 from textboot.errors import ImageError, ManifestError, TextBootError
 from textboot.geometry import AxisRect, Polygon
 
@@ -246,3 +248,29 @@ def test_a_polygon_survives_save_then_load_with_its_hash(work, polygon):
     save_dataset(Dataset((record,), 16, 16), path)
     (back,) = load_dataset(path, require_images=False).records[0].polygons
     assert back == polygon and hash(back) == hash(polygon)
+
+
+# --- detector ----------------------------------------------------------------------
+
+
+@st.composite
+def _models(draw):
+    radius = draw(st.integers(1, 2))
+    weight = st.floats(-30.0, 30.0, allow_nan=False)
+    weights = draw(arrays(np.float64, feature_dim(radius), elements=weight))
+    return DetectorModel(weights, draw(weight), radius, rounds_seen=0, epochs_trained=1, seed=0)
+
+
+@deterministic
+@given(
+    model=_models(),
+    image=arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=3, max_side=24)),
+)
+@example(  # every probability is exactly the threshold: one component scoring 0.5
+    model=DetectorModel(np.zeros(feature_dim(1)), 0.0, 1, 0, 1, 0),
+    image=np.zeros((4, 4), dtype=np.uint8),
+)
+def test_every_detection_scores_at_least_the_pixel_threshold(model, image):
+    """A score is the mean of pixels that each reach the threshold, so a
+    score bar below the threshold (FILTER's 0.4) rejects nothing."""
+    assert all(d.score >= SCORE_THRESHOLD for d in model.detect(image))
