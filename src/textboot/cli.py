@@ -47,6 +47,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _choices(enum_type) -> list[str]:
     """The lower-case member names of an enum, as command-line choices."""
     return [member.name.lower() for member in enum_type]
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=training.epochs)
     p.add_argument("--batch-size", type=int, default=training.batch_size)
     p.add_argument("--eval-iou", type=float, default=evaluation.iou_threshold)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="score a detection manifest against ground truth")
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--strategy", choices=_choices(Provenance), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("convert", help="convert per-image polygon dumps to a manifest")

@@ -7,8 +7,10 @@ correlation of the image plus two box filters.  Proposals are
 4-connected components of the probability map thresholded at the fixed
 ``SCORE_THRESHOLD``, so a model holds only what training learned.  The
 point of this detector is not accuracy for its own sake: it is the
-smallest model that reliably improves when more (pseudo-)annotated images
-are added, which is what the bootstrapping pipeline exercises.  Anything
+smallest model the bootstrapping pipeline can train, annotate with and
+score.  Trained on more (pseudo-)annotated images it also takes more SGD
+steps, and its gains in the bootstrap rounds come mostly from those steps:
+at equal steps, extra labelled images move its F little.  Anything
 implementing the same protocol can be dropped in behind it:
 
 * ``train`` / ``save_model`` / ``load_model`` — fit and persist a model;
@@ -28,7 +30,7 @@ from scipy import ndimage
 from scipy.special import expit
 
 from .errors import EmptyTrainingSetError, ModelFormatError, NonFiniteLossError
-from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection
+from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, center_span
 
 # The same for every model: a pixel is text when p >= the threshold (the
 # symmetric point of the BCE loss), and a proposal needs 8 such pixels.
@@ -113,6 +115,19 @@ def patch_features(image: np.ndarray, radius: int, out: np.ndarray | None = None
 
 def feature_dim(radius: int) -> int:
     return (2 * radius + 1) ** 2 + 2
+
+
+def fill_features(examples: list[TrainExample], radius: int, out: np.ndarray) -> np.ndarray:
+    """Write each example's ``patch_features`` into ``out``, one image after
+    another in example order, and return ``out``.
+
+    Filled in place: concatenating per-image blocks would hold the rows twice.
+    """
+    row = 0
+    for ex in examples:
+        patch_features(ex.image, radius, out=out[row : row + ex.image.size])
+        row += ex.image.size
+    return out
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -206,22 +221,18 @@ class DetectorModel:
 def _mask_in_box(fired: np.ndarray, box: AxisRect) -> BitMask:
     h, w = fired.shape
     keep = np.zeros((h, w), dtype=bool)
-    r0, r1 = _center_span(box.y_min, box.y_max, h)
-    c0, c1 = _center_span(box.x_min, box.x_max, w)
+    r0, r1 = center_span(box.y_min, box.y_max, h)
+    c0, c1 = center_span(box.x_min, box.x_max, w)
     if r0 < r1 and c0 < c1:
         keep[r0:r1, c0:c1] = fired[r0:r1, c0:c1]
     return BitMask(keep)
 
 
-def _center_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
-    """Index range of pixels whose centers fall inside [lo, hi)."""
-    first = max(0, int(np.ceil(lo - 0.5)))
-    last = min(limit, int(np.ceil(hi - 0.5)))
-    return first, last
-
-
 def train(
-    base: DetectorModel | None, examples: list[TrainExample], cfg: TrainConfig
+    base: DetectorModel | None,
+    examples: list[TrainExample],
+    cfg: TrainConfig,
+    features: np.ndarray | None = None,
 ) -> DetectorModel:
     """Mini-batch gradient descent on per-pixel binary cross-entropy.
 
@@ -230,6 +241,14 @@ def train(
     BLAS thread count.  When ``base`` is given, optimization starts from its
     parameters (fine-tuning).  Raises NonFiniteLossError when an epoch
     leaves a parameter non-finite.
+
+    ``features``, when given, are the examples' feature rows as
+    ``fill_features`` writes them: a C-contiguous float32 array of shape
+    (total pixels, ``feature_dim(cfg.patch_radius)``), read and never
+    written, so a caller that trains on the same images again can pass the
+    same rows (or a prefix of them) instead of having them rebuilt.  Without
+    it, ``train`` builds them itself.  A wrong shape or dtype raises
+    ValueError.
     """
     if not examples:
         raise EmptyTrainingSetError("training requires at least one example")
@@ -238,13 +257,16 @@ def train(
             f"patch radius {cfg.patch_radius} differs from the base model's {base.patch_radius}"
         )
     radius = cfg.patch_radius
-
-    # Filled in place: concatenating per-image blocks would hold X twice.
-    X = np.empty((sum(ex.image.size for ex in examples), feature_dim(radius)), dtype=np.float32)
-    row = 0
-    for ex in examples:
-        patch_features(ex.image, radius, out=X[row : row + ex.image.size])
-        row += ex.image.size
+    shape = (sum(ex.image.size for ex in examples), feature_dim(radius))
+    if features is None:
+        X = fill_features(examples, radius, np.empty(shape, dtype=np.float32))
+    elif features.shape != shape or features.dtype != np.float32 or not features.flags.c_contiguous:
+        raise ValueError(
+            f"features must be a C-contiguous float32 array of shape {shape}, "
+            f"got {features.dtype} {features.shape}"
+        )
+    else:
+        X = features
     y = np.concatenate([ex.label_map().reshape(-1) for ex in examples]).astype(np.float32)
 
     w = base.weights.copy() if base is not None else np.zeros(feature_dim(radius), dtype=np.float64)

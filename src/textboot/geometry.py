@@ -193,6 +193,14 @@ def rect_iou(a: AxisRect, b: AxisRect) -> float:
     return inter / union
 
 
+def center_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
+    """Index range of the pixels in ``0 .. limit - 1`` whose centers fall
+    inside [lo, hi); empty (first >= last) when none does."""
+    first = max(0, int(np.ceil(lo - 0.5)))
+    last = min(limit, int(np.ceil(hi - 0.5)))
+    return first, last
+
+
 def rasterize(p: Polygon, width: int, height: int) -> BitMask:
     """Fill ``p`` on a ``width`` x ``height`` grid.
 
@@ -200,23 +208,29 @@ def rasterize(p: Polygon, width: int, height: int) -> BitMask:
     is inside the polygon by the even-odd rule.  Pixels outside the grid
     are simply dropped.
 
-    One scanline pass: an edge crossing a row's center line at ``x_at``
-    toggles the ``searchsorted(cx, x_at)`` centers left of it, so a pixel
-    is set when a per-row suffix count of crossings to its right is odd.
+    One scanline pass over the rows whose center line the polygon spans:
+    an edge crossing a row's center line at ``x_at`` toggles the
+    ``searchsorted(cx, x_at)`` centers left of it, so a pixel is set when a
+    per-row suffix count of crossings to its right is odd.
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid dims must be positive, got {width}x{height}")
-    cx = np.arange(width, dtype=float) + 0.5
-    cy = np.arange(height, dtype=float) + 0.5
+    out = np.zeros((height, width), dtype=bool)
     x1, y1 = p.vertices.T
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    r0, r1 = center_span(y1.min(), y1.max(), height)
+    if r0 >= r1:
+        return BitMask(out)
+    cx = np.arange(width, dtype=float) + 0.5
+    cy = np.arange(r0, r1, dtype=float) + 0.5
+    x2, y2 = np.concatenate((x1[1:], x1[:1])), np.concatenate((y1[1:], y1[:1]))
     edge, row = np.nonzero((y1[:, None] <= cy) != (y2[:, None] <= cy))
     t = (cy[row] - y1[edge]) / (y2[edge] - y1[edge])
     x_at = x1[edge] + t * (x2[edge] - x1[edge])
     toggled = np.searchsorted(cx, x_at, side="left")
-    counts = np.bincount(row * (width + 1) + toggled, minlength=height * (width + 1))
-    right_of = np.cumsum(counts.reshape(height, width + 1)[:, ::-1], axis=1)[:, ::-1]
-    return BitMask(right_of[:, 1:] & 1)
+    counts = np.bincount(row * (width + 1) + toggled, minlength=(r1 - r0) * (width + 1))
+    right_of = np.cumsum(counts.reshape(r1 - r0, width + 1)[:, ::-1], axis=1)[:, ::-1]
+    out[r0:r1] = right_of[:, 1:] & 1
+    return BitMask(out)
 
 
 def mask_iou(a: BitMask, b: BitMask) -> float:
@@ -249,50 +263,57 @@ def mask_to_polygon(m: BitMask) -> list[Polygon]:
     """
     if m.count == 0:
         return []
-    labels, n = ndimage.label(m.pixels, structure=FOUR_CONNECTED)
-    out = []
-    for lab in range(1, n + 1):
-        out.append(_trace_outer_boundary(labels == lab))
-    return out
+    labels, _ = ndimage.label(m.pixels, structure=FOUR_CONNECTED)
+    return [
+        _trace_outer_boundary(labels[rows, cols] == lab, cols.start, rows.start)
+        for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), 1)
+    ]
 
 
-def _trace_outer_boundary(comp: np.ndarray) -> Polygon:
-    """Walk the outer boundary of one component, inside kept on the right."""
-    rows, cols = np.nonzero(comp)
-    r0, c0 = int(rows[0]), int(cols[0])
-    padded = np.pad(comp, 1)
+# Per direction of travel east, south, west, north (a right turn is the
+# next one): the step (dx, dy) and the pixels right and left ahead of the
+# corner reached, as (row, col) offsets from it.  Corner (x, y) touches
+# pixels NW=(y-1,x-1) NE=(y-1,x) SW=(y,x-1) SE=(y,x).
+_TRAVEL = (
+    ((1, 0), (0, 0), (-1, 0)),
+    ((0, 1), (0, -1), (0, 0)),
+    ((-1, 0), (-1, -1), (0, -1)),
+    ((0, -1), (-1, 0), (-1, -1)),
+)
 
-    # Corner (x, y) touches pixels NW=(y-1,x-1) NE=(y-1,x) SW=(y,x-1) SE=(y,x).
-    # right_ahead / left_ahead pixel offsets, keyed by direction of travel.
-    ahead = {
-        (1, 0): ((0, 0), (-1, 0)),
-        (0, 1): ((0, -1), (0, 0)),
-        (-1, 0): ((-1, -1), (0, -1)),
-        (0, -1): ((-1, 0), (-1, -1)),
-    }
 
-    start = (c0, r0)
-    x, y = start
-    dx, dy = 1, 0  # east along the top edge of the first pixel
-    verts = [start]
-    limit = 4 * (comp.shape[0] + 2) * (comp.shape[1] + 2)
-    for _ in range(limit):
-        x += dx
-        y += dy
-        if (x, y) == start:
+def _trace_outer_boundary(crop: np.ndarray, x0: int, y0: int) -> Polygon:
+    """Walk the outer boundary of one component, inside kept on the right.
+
+    ``crop`` is the component's bounding box, holding only its pixels, and
+    its top-left pixel is ``(x0, y0)`` in the frame.  The walk reads the
+    zero-padded crop as a flat byte string, so corner (x, y) is index
+    ``(y + 1) * stride + x + 1`` and each step or lookup is one offset.
+    """
+    h, w = crop.shape
+    stride = w + 2
+    cells = np.pad(crop, 1).tobytes()
+    steps, right, left = zip(
+        *(
+            (dy * stride + dx, rdy * stride + rdx, ldy * stride + ldx)
+            for (dx, dy), (rdy, rdx), (ldy, ldx) in _TRAVEL
+        )
+    )
+    # The crop's top row holds the component's first pixel in scan order.
+    start = at = stride + int(crop[0].argmax()) + 1
+    d = 0  # east along the top edge of the first pixel
+    corners = [start]
+    for _ in range(4 * (h + 2) * stride):
+        at += steps[d]
+        if at == start:
             break
-        (rdy, rdx), (ldy, ldx) = ahead[(dx, dy)]
-        right_in = padded[y + rdy + 1, x + rdx + 1]
-        left_in = padded[y + ldy + 1, x + ldx + 1]
-        if not right_in:
-            ndx, ndy = -dy, dx  # turn right
-        elif left_in:
-            ndx, ndy = dy, -dx  # turn left
+        if not cells[at + right[d]]:
+            d = (d + 1) & 3  # turn right
+        elif cells[at + left[d]]:
+            d = (d - 1) & 3  # turn left
         else:
-            ndx, ndy = dx, dy
-        if (ndx, ndy) != (dx, dy):
-            verts.append((x, y))
-            dx, dy = ndx, ndy
+            continue
+        corners.append(at)
     else:
         raise RuntimeError("boundary trace failed to close")
-    return Polygon(verts)
+    return Polygon([(x0 + c % stride - 1, y0 + c // stride - 1) for c in corners])

@@ -25,10 +25,21 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
     AnnotationTier, Dataset, Provenance, read_image, record_masks, require_tier, save_dataset
 )
-from .detector import DetectorModel, TrainConfig, TrainExample, load_model, save_model, train
+from .detector import (
+    DetectorModel,
+    TrainConfig,
+    TrainExample,
+    feature_dim,
+    fill_features,
+    load_model,
+    save_model,
+    train,
+)
 from .errors import DimensionMismatchError, DisjointnessError, EmptyDatasetError, TextBootError
 from .evaluation import EvalConfig, EvalReport, evaluate
 from .strategies import (
@@ -180,8 +191,11 @@ def run_pipeline(
     A ``run_dir`` that already holds files, a strong or test split that is
     not STRONG, and a pool whose tier the strategy cannot use (FULLY needs
     STRONG) are refused before anything is written, so no artifact of an
-    earlier run passes for this one's.
+    earlier run passes for this one's.  A ``jobs`` below 1 raises
+    ValueError, also before anything is written.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not strong.records:
         raise EmptyDatasetError("the pixel-annotated training split is empty")
     _check_dims(strong, pool, test)
@@ -206,20 +220,36 @@ def run_pipeline(
         if cfg.strategy is Strategy.FULLY:
             labelled = labelled + dataset_examples(pool)
 
+        # Every round trains on the same images, so their feature rows are
+        # built once, into one matrix: the labelled rows, then the pool's.
+        # Round 0 trains on the prefix rather than on a matrix of its own,
+        # because freeing that one would raise malloc's mmap threshold and
+        # leave later arrays of its size on the heap, growing the process.
+        radius = cfg.train_cfg.patch_radius
+        labelled_rows = sum(ex.image.size for ex in labelled)
+        pool_rows = len(pool.records) * pool.image_width * pool.image_height
+        X = np.empty(
+            (labelled_rows + (pool_rows if cfg.planned_rounds else 0), feature_dim(radius)),
+            dtype=np.float32,
+        )
+        fill_features(labelled, radius, X[:labelled_rows])
+
         for r in range(cfg.planned_rounds + 1):
             rdir = _round_dir(run_dir, r)
-            examples, base, pseudo_count = labelled, None, 0
+            examples, base, pseudo_count, features = labelled, None, 0, X[:labelled_rows]
             if r > 0:
                 pseudo = annotate_pool(
                     models[-1], pool, Provenance[cfg.strategy.value], round_index=r, jobs=jobs
                 )
                 save_dataset(pseudo_to_dataset(pool, pseudo), rdir / "pseudo.manifest")
                 pseudo_count = pseudo.count
-                examples = labelled + pseudo_examples(pool, pseudo)
-                base = models[0]
+                pool_examples = pseudo_examples(pool, pseudo)
+                if r == 1:
+                    fill_features(pool_examples, radius, X[labelled_rows:])
+                examples, base, features = labelled + pool_examples, models[0], X
 
             train_cfg = replace(cfg.train_cfg, seed=cfg.train_cfg.seed + r)
-            model = train(base, examples, train_cfg)
+            model = train(base, examples, train_cfg, features)
             model_path = rdir / "model.bin"
             save_model(model, model_path)
             report = _evaluate_model(model, test, cfg.eval_cfg, jobs)
@@ -255,7 +285,9 @@ def cross_domain_annotate(
 
     Applies ``strategy`` (by default one annotation per rectangle), writes
     the result as a pixel-annotated manifest at ``out`` and returns it;
-    ``pseudo_examples(target_pool, result)`` is ready to train on.
+    ``pseudo_examples(target_pool, result)`` is ready to train on.  A
+    ``jobs`` below 1 raises ValueError (from ``annotate_pool``) before
+    anything is written.
     """
     pseudo = annotate_pool(load_model(model_path), target_pool, strategy, jobs=jobs)
     out = Path(out)

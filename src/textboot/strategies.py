@@ -128,8 +128,10 @@ def annotate_pool(
     Every pool image appears in the result, with an empty label list
     where nothing was selected.  Images are read through
     :func:`~textboot.data.read_image`; ``jobs`` > 1 processes images
-    concurrently without changing the output.
+    concurrently without changing the output; ``jobs`` < 1 raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     require_tier(pool, _ALLOWED_TIERS[strategy], f"{strategy.value} strategy")
 
     def one(rec: AnnotationRecord) -> tuple[str, tuple[Detection, ...]]:

@@ -136,3 +136,67 @@ def per_label_detect(probs: np.ndarray, threshold: float, min_pixels: int) -> li
         dets.append(Detection(box=box, mask=BitMask(comp), score=float(probs[comp].mean())))
     dets.sort(key=lambda d: -d.score)
     return dets
+
+
+def full_grid_rasterize(p: Polygon, width: int, height: int) -> np.ndarray:
+    """``rasterize`` as a one-pass fill of the whole grid: every row's center
+    line is tested against every edge, in or out of the polygon's span."""
+    cx = np.arange(width, dtype=float) + 0.5
+    cy = np.arange(height, dtype=float) + 0.5
+    x1, y1 = p.vertices.T
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    edge, row = np.nonzero((y1[:, None] <= cy) != (y2[:, None] <= cy))
+    t = (cy[row] - y1[edge]) / (y2[edge] - y1[edge])
+    x_at = x1[edge] + t * (x2[edge] - x1[edge])
+    toggled = np.searchsorted(cx, x_at, side="left")
+    counts = np.bincount(row * (width + 1) + toggled, minlength=height * (width + 1))
+    right_of = np.cumsum(counts.reshape(height, width + 1)[:, ::-1], axis=1)[:, ::-1]
+    return (right_of[:, 1:] & 1).astype(bool)
+
+
+def full_frame_mask_to_polygon(m: BitMask) -> list[Polygon]:
+    """``mask_to_polygon`` with one full-frame pass per component: the
+    component's own frame-sized mask, padded, walked one array lookup at a
+    time."""
+    if m.count == 0:
+        return []
+    labels, n = ndimage.label(m.pixels, structure=FOUR_CONNECTED)
+    return [_trace_full_frame(labels == lab) for lab in range(1, n + 1)]
+
+
+def _trace_full_frame(comp: np.ndarray) -> Polygon:
+    rows, cols = np.nonzero(comp)
+    r0, c0 = int(rows[0]), int(cols[0])
+    padded = np.pad(comp, 1)
+    # Corner (x, y) touches pixels NW=(y-1,x-1) NE=(y-1,x) SW=(y,x-1) SE=(y,x).
+    # right_ahead / left_ahead pixel offsets, keyed by direction of travel.
+    ahead = {
+        (1, 0): ((0, 0), (-1, 0)),
+        (0, 1): ((0, -1), (0, 0)),
+        (-1, 0): ((-1, -1), (0, -1)),
+        (0, -1): ((-1, 0), (-1, -1)),
+    }
+    start = (c0, r0)
+    x, y = start
+    dx, dy = 1, 0  # east along the top edge of the first pixel
+    verts = [start]
+    for _ in range(4 * (comp.shape[0] + 2) * (comp.shape[1] + 2)):
+        x += dx
+        y += dy
+        if (x, y) == start:
+            break
+        (rdy, rdx), (ldy, ldx) = ahead[(dx, dy)]
+        right_in = padded[y + rdy + 1, x + rdx + 1]
+        left_in = padded[y + ldy + 1, x + ldx + 1]
+        if not right_in:
+            ndx, ndy = -dy, dx  # turn right
+        elif left_in:
+            ndx, ndy = dy, -dx  # turn left
+        else:
+            ndx, ndy = dx, dy
+        if (ndx, ndy) != (dx, dy):
+            verts.append((x, y))
+            dx, dy = ndx, ndy
+    else:
+        raise RuntimeError("boundary trace failed to close")
+    return Polygon(verts)

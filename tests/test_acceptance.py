@@ -9,7 +9,9 @@ also the reference recipe for reproducing the headline behaviour.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +24,9 @@ from textboot.data import (
     Dataset,
     SceneSpec,
     generate_synthetic,
+    load_dataset,
     read_pgm,
+    save_dataset,
     split_dataset,
 )
 from textboot.detector import TrainConfig, load_model, train
@@ -326,30 +330,48 @@ def test_greedy_matching_tracks_exhaustive_assignment():
 # ---------------------------------------------------------------------------
 
 
+_GATE4_POOLS = {"NAIVE": "weak", "FILTER": "weak", "LOCAL": "weak", "FULLY": "truth"}
+
+
+def _strategy_f_per_round(strategy: str, world) -> list[float]:
+    """One strategy's run on the saved acceptance world: its F per round.
+
+    A process-pool worker, so it takes only what pickles and loads the
+    world from its manifests.
+    """
+    strong = load_dataset(world / "splits" / "strong.manifest")
+    pool = load_dataset(world / "splits" / f"{_GATE4_POOLS[strategy]}.manifest")
+    test_ds = load_dataset(world / "test" / "dataset.manifest")
+    cfg = PipelineConfig(
+        strategy=Strategy[strategy], rounds=3, eval_cfg=EvalConfig(iou_threshold=0.35)
+    )
+    result = run_pipeline(strong, pool, test_ds, cfg, world / f"run_{strategy}", jobs=4)
+    assert not result.incomplete, result.failure
+    return [r.f_measure for r in result.reports]
+
+
 def test_bootstrap_rounds_recover_headline_ordering(tmp_path):
     t0 = time.time()
     train_ds = generate_synthetic(SceneSpec(n_images=200, seed=101), tmp_path / "train")
-    test_ds = generate_synthetic(
-        SceneSpec(n_images=50, seed=202, prefix="test"), tmp_path / "test"
-    )
+    generate_synthetic(SceneSpec(n_images=50, seed=202, prefix="test"), tmp_path / "test")
     strong, weak_pool = split_dataset(train_ds, 0.10, seed=7)
     _, strong_pool = split_dataset(train_ds, 0.10, seed=7, downgrade=None)
+    (tmp_path / "splits").mkdir()
+    for name, ds in (("strong", strong), ("weak", weak_pool), ("truth", strong_pool)):
+        save_dataset(ds, tmp_path / "splits" / f"{name}.manifest")
 
-    eval_cfg = EvalConfig(iou_threshold=0.35)
+    # The four runs are independent, and their bytes do not depend on the
+    # process or thread count: run them two at a time.
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as workers:
+        runs = {s: workers.submit(_strategy_f_per_round, s, tmp_path) for s in _GATE4_POOLS}
+        per_round = {s: run.result() for s, run in runs.items()}
+
     best: dict[str, float] = {}
-    baseline = None
-    for strategy in (Strategy.NAIVE, Strategy.FILTER, Strategy.LOCAL, Strategy.FULLY):
-        pool = strong_pool if strategy is Strategy.FULLY else weak_pool
-        cfg = PipelineConfig(strategy=strategy, rounds=3, eval_cfg=eval_cfg)
-        result = run_pipeline(
-            strong, pool, test_ds, cfg, tmp_path / f"run_{strategy.name}", jobs=4
-        )
-        assert not result.incomplete, result.failure
-        scores = [r.f_measure for r in result.reports]
-        best[strategy.name] = max(scores)
-        if strategy is Strategy.NAIVE:
-            baseline = scores[0]
-        print(f"  {strategy.name:6s} F per round: {[round(s, 4) for s in scores]}")
+    for strategy, scores in per_round.items():
+        best[strategy] = max(scores)
+        print(f"  {strategy:6s} F per round: {[round(s, 4) for s in scores]}")
+    baseline = per_round["NAIVE"][0]
 
     assert baseline is not None
     # (a) every pseudo-annotation strategy recovers at least +0.02 F over baseline

@@ -316,6 +316,19 @@ def test_usage_errors_exit_two(cli_world, tmp_path):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(cli_world, tmp_path, capsys, jobs):
+    assert main(_run_args(cli_world, tmp_path / "run", extra=("--jobs", jobs))) == 2
+    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    out = tmp_path / "pseudo.manifest"
+    assert main(["annotate", "--model", str(tmp_path / "model.bin"),
+                 "--pool", str(cli_world / "splits" / "rest.manifest"),
+                 "--strategy", "local", "--out", str(out), "--jobs", jobs]) == 2
+    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_defaults_come_from_the_dataclasses(cli_world, tmp_path):
     commands = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)

@@ -24,6 +24,7 @@ from textboot.detector import (
     TrainConfig,
     TrainExample,
     feature_dim,
+    fill_features,
     load_model,
     patch_features,
     save_model,
@@ -421,6 +422,36 @@ def test_training_is_bit_deterministic(easy_world):
     b = train(None, examples[:3], cfg)
     assert a.weights.tobytes() == b.weights.tobytes()
     assert a.bias == b.bias
+
+
+def test_given_features_train_the_bytes_of_built_ones(easy_world):
+    """A prefix of a larger matrix, as a run passes round 0, trains the
+    model that ``train``'s own rows train, fresh and fine-tuned."""
+    _, examples, model = easy_world
+    cfg = TrainConfig(epochs=2, seed=5, patch_radius=2)
+    rows = sum(ex.image.size for ex in examples[:5])
+    X = np.empty((rows + 999, feature_dim(2)), dtype=np.float32)
+    fill_features(examples[:5], 2, X[:rows])
+    for base in (None, model):
+        got = train(base, examples[:5], cfg, X[:rows])
+        want = train(base, examples[:5], cfg)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias == want.bias
+
+
+@pytest.mark.parametrize("bad", ["one row short", "another radius", "float64", "strided"])
+def test_train_refuses_features_of_another_shape_or_dtype(easy_world, bad):
+    _, examples, _ = easy_world
+    shape = (sum(ex.image.size for ex in examples[:2]), feature_dim(2))
+    features = {
+        "one row short": np.zeros((shape[0] - 1, shape[1]), dtype=np.float32),
+        "another radius": np.zeros((shape[0], feature_dim(3)), dtype=np.float32),
+        "float64": np.zeros(shape),
+        "strided": np.zeros((2 * shape[0], shape[1]), dtype=np.float32)[::2],
+    }[bad]
+    with pytest.raises(ValueError) as exc:
+        train(None, examples[:2], TrainConfig(epochs=1, patch_radius=2), features)
+    assert str(shape) in str(exc.value) and str(features.shape) in str(exc.value)
 
 
 def test_seed_changes_parameters(easy_world):

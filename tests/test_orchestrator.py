@@ -20,7 +20,10 @@ from textboot.data import (
     split_dataset,
     write_pgm,
 )
-from textboot.detector import TrainConfig, TrainExample, load_model, save_model, train
+from textboot import detector, orchestrator
+from textboot.detector import (
+    DetectorModel, TrainConfig, TrainExample, feature_dim, load_model, save_model, train
+)
 from textboot.errors import (
     DisjointnessError,
     EmptyDatasetError,
@@ -200,6 +203,71 @@ def test_wrong_size_pool_image_stops_the_run(world, tmp_path):
     result = run_pipeline(strong, pool, test_ds, cfg, tmp_path / "run")
     assert result.incomplete and len(result.reports) == 1
     assert result.failure.startswith("ImageError: ") and victim.image_id in result.failure
+
+
+def test_jobs_below_one_is_refused_before_anything_is_written(world, tmp_path):
+    _, strong, weak_pool, _, test_ds = world
+    cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=1, train_cfg=FAST)
+    with pytest.raises(ValueError, match=r"^jobs must be >= 1, got 0$"):
+        run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run", jobs=0)
+    assert not (tmp_path / "run").exists()
+    model = DetectorModel(np.zeros(feature_dim(3)), 0.0, 3, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"^jobs must be >= 1, got -3$"):
+        annotate_pool(model, weak_pool, Provenance.LOCAL, jobs=-3)
+    save_model(model, tmp_path / "model.bin")
+    with pytest.raises(ValueError, match=r"^jobs must be >= 1, got 0$"):
+        cross_domain_annotate(tmp_path / "model.bin", weak_pool, tmp_path / "out" / "p", jobs=0)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def wide_world(tmp_path_factory):
+    """20 strong and 40 pool images, the benchmark's bootstrap proportions."""
+    root = tmp_path_factory.mktemp("wideworld")
+    train_ds = generate_synthetic(SceneSpec(n_images=60, seed=53, **EASY), root / "train")
+    test_ds = generate_synthetic(
+        SceneSpec(n_images=2, seed=54, prefix="test", **EASY), root / "test"
+    )
+    strong, weak_pool = split_dataset(train_ds, 1 / 3, seed=5)
+    _, strong_pool = split_dataset(train_ds, 1 / 3, seed=5, downgrade=None)
+    assert (len(strong.records), len(weak_pool.records)) == (20, 40)
+    return strong, weak_pool, strong_pool, test_ds
+
+
+@pytest.mark.parametrize(
+    "strategy, rounds, builds", [("LOCAL", 3, 60), ("LOCAL", 0, 20), ("FULLY", 3, 60)]
+)
+def test_a_run_builds_each_images_features_once(
+    wide_world, tmp_path, monkeypatch, strategy, rounds, builds
+):
+    """Each image's feature rows are built once per run, and round 0
+    trains on a prefix of the rows the later rounds train on, not a copy."""
+    strong, weak_pool, strong_pool, test_ds = wide_world
+    built, trained = [], []
+    real_features, real_train = detector.patch_features, orchestrator.train
+
+    def counting_features(image, radius, out=None):
+        built.append(image.shape)
+        return real_features(image, radius, out)
+
+    def recording_train(base, examples, cfg, features=None):
+        trained.append(features)
+        return real_train(base, examples, cfg, features)
+
+    monkeypatch.setattr(detector, "patch_features", counting_features)
+    monkeypatch.setattr(orchestrator, "train", recording_train)
+    cfg = PipelineConfig(
+        strategy=Strategy[strategy], rounds=rounds, train_cfg=TrainConfig(epochs=1)
+    )
+    pool = strong_pool if strategy == "FULLY" else weak_pool
+    result = run_pipeline(strong, pool, test_ds, cfg, tmp_path / "run")
+    assert not result.incomplete, result.failure
+    assert len(built) == builds
+    assert len(trained) == cfg.planned_rounds + 1
+    assert all(f is not None for f in trained)
+    for later in trained[1:]:
+        assert np.shares_memory(trained[0], later)
+        assert len(later) == 60 * 64 * 64 > len(trained[0])
 
 
 def test_naive_accepts_none_tier_pool(world, tmp_path):

@@ -1,8 +1,10 @@
-"""Property tests for the file formats and for the detector's scores.
+"""Property tests for the file formats, the geometry and the detector's scores.
 
 Every readable PGM image or dataset manifest either loads or raises the
 package's typed error, and every value the writers accept reads back
-unchanged.  Every detection scores at least ``SCORE_THRESHOLD``.
+unchanged.  ``rasterize`` and ``mask_to_polygon`` give what their
+whole-frame forms in ``tests/oracles.py`` give.  Every detection scores at
+least ``SCORE_THRESHOLD``.
 Examples are derandomized, no example database is kept and Hypothesis's
 caches go to a temporary directory, so the suite is deterministic and
 leaves nothing in the working tree.
@@ -12,7 +14,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -29,7 +31,8 @@ from textboot.data import (
 )
 from textboot.detector import SCORE_THRESHOLD, DetectorModel, feature_dim
 from textboot.errors import ImageError, ManifestError, TextBootError
-from textboot.geometry import AxisRect, Polygon
+from textboot.geometry import AxisRect, BitMask, Polygon, mask_to_polygon, rasterize
+from tests.oracles import full_frame_mask_to_polygon, full_grid_rasterize
 
 # Hypothesis caches what it learns about the code under test, during
 # collection already; keep that out of the working tree.  The directory is
@@ -248,6 +251,67 @@ def test_a_polygon_survives_save_then_load_with_its_hash(work, polygon):
     save_dataset(Dataset((record,), 16, 16), path)
     (back,) = load_dataset(path, require_images=False).records[0].polygons
     assert back == polygon and hash(back) == hash(polygon)
+
+
+# --- rasterize and trace ------------------------------------------------------------
+
+
+@st.composite
+def _framed_polygons(draw):
+    """A grid and a star or box placed inside it, across its edges or
+    wholly outside it, with free, integer or pixel-center vertices."""
+    width, height = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+    cx = draw(st.floats(-24.0, width + 24.0))
+    cy = draw(st.floats(-24.0, height + 24.0))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 12))
+        jitter = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n)))
+        radii = np.array(draw(st.lists(st.floats(0.3, 20.0), min_size=n, max_size=n)))
+        angles = (np.arange(n) + jitter) * (2.0 * np.pi / n)
+        verts = np.stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)], axis=1)
+    else:  # horizontal edges
+        half_w, half_h = draw(st.floats(0.3, 20.0)), draw(st.floats(0.3, 20.0))
+        verts = np.array([(cx - half_w, cy - half_h), (cx + half_w, cy - half_h),
+                          (cx + half_w, cy + half_h), (cx - half_w, cy + half_h)])
+    snap = draw(st.sampled_from(["free", "integer", "center"]))
+    if snap == "integer":
+        verts = np.round(verts)
+    elif snap == "center":
+        verts = np.floor(verts) + 0.5
+    try:
+        return width, height, Polygon(verts)
+    except ValueError:  # snapping merged two vertices or crossed two edges
+        reject()
+
+
+@deterministic
+@given(framed=_framed_polygons())
+@example(framed=(8, 6, Polygon([(1.0, 7.0), (5.0, 7.0), (3.0, 9.0)])))  # below the grid
+@example(framed=(8, 6, Polygon([(-4.0, -3.0), (12.0, -3.0), (4.0, 2.2)])))  # across the top
+@example(framed=(8, 6, Polygon([(2.0, 0.5), (6.0, 0.5), (6.0, 5.5), (2.0, 5.5)])))  # on centers
+def test_rasterize_matches_the_whole_grid_fill(framed):
+    """Scanning only the rows a polygon spans sets the pixels that testing
+    every row of the grid sets."""
+    width, height, polygon = framed
+    want = full_grid_rasterize(polygon, width, height)
+    assert np.array_equal(rasterize(polygon, width, height).pixels, want)
+
+
+_SEVERAL_COMPONENTS = np.array(
+    [[1, 1, 0, 0, 1], [1, 0, 1, 0, 1], [1, 1, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 1, 0, 1]],
+    dtype=bool,
+)
+
+
+@deterministic
+@given(mask=arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)))
+@example(mask=_SEVERAL_COMPONENTS)  # a pinched ring, a bar, diagonal neighbours, corners
+@example(mask=np.ones((1, 1), dtype=bool))
+def test_mask_to_polygon_matches_the_full_frame_trace(mask):
+    """Tracing each component in its own crop gives the outlines, in the
+    order, that tracing it in the whole frame gives."""
+    m = BitMask(mask)
+    assert mask_to_polygon(m) == full_frame_mask_to_polygon(m)
 
 
 # --- detector ----------------------------------------------------------------------
