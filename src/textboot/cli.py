@@ -195,13 +195,7 @@ def cmd_eval(args) -> int:
 
 def cmd_annotate(args) -> int:
     pool = load_dataset(Path(args.pool))
-    pseudo = cross_domain_annotate(
-        Path(args.model),
-        pool,
-        Path(args.out),
-        Provenance[args.strategy.upper()],
-        jobs=args.jobs,
-    )
+    pseudo = cross_domain_annotate(args.model, pool, args.out, Provenance[args.strategy.upper()])
     print(f"annotated {len(pool.records)} images: {pseudo.count} pseudo instances -> {args.out}")
     return 0
 
@@ -212,16 +206,21 @@ def cmd_annotate(args) -> int:
 def cmd_convert(args) -> int:
     """Turn a directory of per-image polygon dumps into a manifest.
 
-    Expects one text file per image named <image stem>.txt, each line one
+    Expects one UTF-8 file per image named <image stem>.txt, each line one
     polygon as comma-separated x,y coordinates; images without a dump file
-    become empty pixel-tier records.  The manifest's frame is the first
-    image's size, and every other image must have it.
+    become empty pixel-tier records, and a dump without an image is refused.
+    The manifest's frame is the first image's size, which every image needs.
     """
     images_dir = Path(args.images)
     ann_dir = Path(args.annotations)
     image_files = sorted(images_dir.glob("*.pgm"))
     if not image_files:
         raise TextBootError(f"no .pgm images found under {images_dir}")
+    if not ann_dir.is_dir():
+        raise TextBootError(f"annotation directory {ann_dir} not found")
+    for dump in sorted(ann_dir.glob("*.txt")):
+        if not (images_dir / f"{dump.stem}.pgm").is_file():
+            raise TextBootError(f"{dump}: no image {dump.stem}.pgm under {images_dir}")
     records = []
     for img in image_files:
         ih, iw = read_pgm(img).shape
@@ -232,7 +231,11 @@ def cmd_convert(args) -> int:
         polys = []
         dump = ann_dir / f"{img.stem}.txt"
         if dump.exists():
-            for line_no, line in enumerate(dump.read_text(encoding="utf-8").splitlines(), 1):
+            try:
+                text = dump.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise TextBootError(f"{dump}: not UTF-8 text ({exc.reason})") from None
+            for line_no, line in enumerate(text.splitlines(), 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -320,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--strategy", choices=_choices(Provenance), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("convert", help="convert per-image polygon dumps to a manifest")

@@ -215,23 +215,23 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
 
     polygons: list[Polygon] = []
     rects: list[AxisRect] = []
-    scores: tuple[float, ...] | None = None
-    provenance: str | None = None
-    round_index: int | None = None
+    meta: dict[str, object] = {}  # parsed value by metadata key
 
     for token in parts[3:]:
         key_match = _KEY_RE.match(token)
         if key_match:
             key, value = key_match.group(1), key_match.group(2)
+            if key in meta:
+                raise ManifestError(f"metadata key {key!r} given twice", lineno)
             if key == "provenance":
-                provenance = value
+                meta[key] = value
             elif key == "round":
                 try:
-                    round_index = int(value)
+                    meta[key] = int(value)
                 except ValueError:
                     raise ManifestError(f"bad round value {value!r}", lineno) from None
             elif key == "scores":
-                scores = tuple(_parse_floats(value, lineno)) if value else ()
+                meta[key] = tuple(_parse_floats(value, lineno)) if value else ()
             else:
                 raise ManifestError(f"unknown metadata key {key!r}", lineno)
             continue
@@ -257,9 +257,9 @@ def _parse_record(line: str, lineno: int, base: Path, require_images: bool) -> A
             tier=tier,
             polygons=tuple(polygons),
             rects=tuple(rects),
-            scores=scores,
-            provenance=provenance,
-            round_index=round_index,
+            scores=meta.get("scores"),
+            provenance=meta.get("provenance"),
+            round_index=meta.get("round"),
         )
     except TierError as e:
         raise TierError(f"line {lineno}: {e}") from None
@@ -370,9 +370,9 @@ def split_dataset(
 ) -> tuple[Dataset, Dataset]:
     """Uniform random split into a strong subset and a downgraded rest.
 
-    ``|strong| = round(strong_fraction * |d|)``.  The rest keeps its images
-    but is downgraded to the requested tier (WEAK boxes or NONE);
-    ``downgrade=None`` keeps the rest at STRONG, which upper-bound training
+    ``|strong| = round(strong_fraction * |d|)``, and neither half may be
+    empty.  The rest is downgraded to the requested tier (WEAK boxes or
+    NONE); ``downgrade=None`` keeps it at STRONG, which upper-bound training
     runs need.  Original record order is preserved within both halves.
     """
     if not d.records:
@@ -384,6 +384,10 @@ def split_dataset(
     rng = np.random.default_rng(seed)
     n = len(d.records)
     n_strong = int(round(strong_fraction * n))
+    if not 0 < n_strong < n:
+        raise ValueError(
+            f"strong_fraction {strong_fraction} leaves a half empty: {n_strong} of {n} strong"
+        )
     picked = rng.permutation(n)[:n_strong]
     strong_idx = set(int(i) for i in picked)
     strong = [r for i, r in enumerate(d.records) if i in strong_idx]

@@ -117,16 +117,16 @@ def feature_dim(radius: int) -> int:
     return (2 * radius + 1) ** 2 + 2
 
 
-def fill_features(examples: list[TrainExample], radius: int, out: np.ndarray) -> np.ndarray:
-    """Write each example's ``patch_features`` into ``out``, one image after
-    another in example order, and return ``out``.
+def fill_features(images: list[np.ndarray], radius: int, out: np.ndarray) -> np.ndarray:
+    """Write each image's ``patch_features`` into ``out``, one image after
+    another in list order, and return ``out``.  Features need no labels.
 
     Filled in place: concatenating per-image blocks would hold the rows twice.
     """
     row = 0
-    for ex in examples:
-        patch_features(ex.image, radius, out=out[row : row + ex.image.size])
-        row += ex.image.size
+    for image in images:
+        patch_features(image, radius, out=out[row : row + image.size])
+        row += image.size
     return out
 
 
@@ -259,7 +259,7 @@ def train(
     radius = cfg.patch_radius
     shape = (sum(ex.image.size for ex in examples), feature_dim(radius))
     if features is None:
-        X = fill_features(examples, radius, np.empty(shape, dtype=np.float32))
+        X = fill_features([ex.image for ex in examples], radius, np.empty(shape, dtype=np.float32))
     elif features.shape != shape or features.dtype != np.float32 or not features.flags.c_contiguous:
         raise ValueError(
             f"features must be a C-contiguous float32 array of shape {shape}, "

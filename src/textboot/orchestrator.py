@@ -21,7 +21,6 @@ F-versus-round table.  All artifacts are byte-deterministic for a fixed
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -105,12 +104,12 @@ def dataset_examples(dataset: Dataset) -> list[TrainExample]:
     ]
 
 
-def pseudo_examples(pool: Dataset, pseudo: PseudoSet) -> list[TrainExample]:
-    """Pair each pool image with its pseudo masks as they are in memory, holes included."""
+def pseudo_examples(pool: Dataset, pseudo: PseudoSet, images) -> list[TrainExample]:
+    """Pair the pool's images (in pool order) with their in-memory pseudo masks, holes included."""
     labels = pool_labels(pool, pseudo)
     return [
-        TrainExample(read_image(pool, rec), tuple(d.mask for d in labels[rec.image_id]))
-        for rec in pool.records
+        TrainExample(image, tuple(d.mask for d in labels[rec.image_id]))
+        for rec, image in zip(pool.records, images, strict=True)
     ]
 
 
@@ -137,18 +136,9 @@ def _check_dims(*datasets: Dataset) -> None:
         raise DimensionMismatchError(f"datasets disagree on image dimensions: {sorted(dims)}")
 
 
-def _evaluate_model(
-    model: DetectorModel, test: Dataset, eval_cfg: EvalConfig, jobs: int
-) -> EvalReport:
-    def detect_one(rec):
-        return rec.image_id, model.detect(read_image(test, rec))
-
-    if jobs > 1 and len(test.records) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            pairs = list(ex.map(detect_one, test.records))
-    else:
-        pairs = [detect_one(rec) for rec in test.records]
-    return evaluate(dict(pairs), test, eval_cfg)
+def _evaluate_model(model, test: Dataset, images, eval_cfg: EvalConfig) -> EvalReport:
+    dets = {rec.image_id: model.detect(image) for rec, image in zip(test.records, images)}
+    return evaluate(dets, test, eval_cfg)
 
 
 def _round_dir(run_dir: Path, index: int) -> Path:
@@ -184,6 +174,8 @@ def run_pipeline(
 ) -> RunResult:
     """Execute one full bootstrap run, writing artifacts under run_dir.
 
+    Each image is read once: the strong and test splits before round 0, the
+    pool in round 1 (``annotate_pool`` reads it again each round).
     A domain error mid-round (a bad or wrong-size image, diverged
     training) stops the run and returns the rounds finished so far, with
     the error as ``failure``; programming errors propagate.
@@ -191,8 +183,9 @@ def run_pipeline(
     A ``run_dir`` that already holds files, a strong or test split that is
     not STRONG, and a pool whose tier the strategy cannot use (FULLY needs
     STRONG) are refused before anything is written, so no artifact of an
-    earlier run passes for this one's.  A ``jobs`` below 1 raises
-    ValueError, also before anything is written.
+    earlier run passes for this one's.  ``jobs``, the number of pool images
+    annotated at a time, below 1 raises ValueError, also before anything is
+    written.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -217,6 +210,7 @@ def run_pipeline(
     failure = None
     try:
         labelled = dataset_examples(strong)
+        test_images = [read_image(test, rec) for rec in test.records]
         if cfg.strategy is Strategy.FULLY:
             labelled = labelled + dataset_examples(pool)
 
@@ -232,7 +226,7 @@ def run_pipeline(
             (labelled_rows + (pool_rows if cfg.planned_rounds else 0), feature_dim(radius)),
             dtype=np.float32,
         )
-        fill_features(labelled, radius, X[:labelled_rows])
+        fill_features([ex.image for ex in labelled], radius, X[:labelled_rows])
 
         for r in range(cfg.planned_rounds + 1):
             rdir = _round_dir(run_dir, r)
@@ -243,16 +237,17 @@ def run_pipeline(
                 )
                 save_dataset(pseudo_to_dataset(pool, pseudo), rdir / "pseudo.manifest")
                 pseudo_count = pseudo.count
-                pool_examples = pseudo_examples(pool, pseudo)
                 if r == 1:
-                    fill_features(pool_examples, radius, X[labelled_rows:])
-                examples, base, features = labelled + pool_examples, models[0], X
+                    pool_images = [read_image(pool, rec) for rec in pool.records]
+                    fill_features(pool_images, radius, X[labelled_rows:])
+                examples = labelled + pseudo_examples(pool, pseudo, pool_images)
+                base, features = models[0], X
 
             train_cfg = replace(cfg.train_cfg, seed=cfg.train_cfg.seed + r)
             model = train(base, examples, train_cfg, features)
             model_path = rdir / "model.bin"
             save_model(model, model_path)
-            report = _evaluate_model(model, test, cfg.eval_cfg, jobs)
+            report = _evaluate_model(model, test, test_images, cfg.eval_cfg)
             _write_round_metrics(rdir / "metrics.txt", r, pseudo_count, report)
 
             models.append(model)
@@ -279,17 +274,15 @@ def cross_domain_annotate(
     target_pool: Dataset,
     out: Path | str,
     strategy: Provenance = Provenance.LOCAL,
-    jobs: int = 1,
 ) -> PseudoSet:
     """Annotate a pool, possibly of a new domain, with an already-trained model.
 
     Applies ``strategy`` (by default one annotation per rectangle), writes
     the result as a pixel-annotated manifest at ``out`` and returns it;
-    ``pseudo_examples(target_pool, result)`` is ready to train on.  A
-    ``jobs`` below 1 raises ValueError (from ``annotate_pool``) before
-    anything is written.
+    ``pseudo_examples(target_pool, result, images)``, with the pool's
+    images in pool order, is ready to train on.
     """
-    pseudo = annotate_pool(load_model(model_path), target_pool, strategy, jobs=jobs)
+    pseudo = annotate_pool(load_model(model_path), target_pool, strategy)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(pseudo_to_dataset(target_pool, pseudo), out)

@@ -436,8 +436,9 @@ def test_cross_domain_weak_adaptation_improves(tmp_path):
     _, b_pool = split_dataset(b_train, 0.02, seed=9)
 
     pseudo_path = tmp_path / "b_pseudo.manifest"
-    pseudo = cross_domain_annotate(best_report.model_path, b_pool, pseudo_path, jobs=4)
-    examples = pseudo_examples(b_pool, pseudo)
+    pseudo = cross_domain_annotate(best_report.model_path, b_pool, pseudo_path)
+    b_images = [read_pgm(rec.image_path) for rec in b_pool.records]
+    examples = pseudo_examples(b_pool, pseudo, b_images)
     tuned = train(
         model, examples, TrainConfig(epochs=12, seed=77, patch_radius=model.patch_radius)
     )

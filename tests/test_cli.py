@@ -126,6 +126,16 @@ def test_split_downgrade_none_and_strong(cli_world, tmp_path):
     assert all(r.tier is AnnotationTier.STRONG for r in rest.records)
 
 
+@pytest.mark.parametrize("fraction, n_strong", [("0.04", 0), ("0.96", 12)])
+def test_split_refuses_an_empty_half(cli_world, tmp_path, capsys, fraction, n_strong):
+    assert main(["split", str(cli_world / "train" / "dataset.manifest"),
+                 "--out", str(tmp_path / "s"), "--strong-fraction", fraction]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid value: strong_fraction {fraction} leaves a half empty: {n_strong} of 12 strong\n"
+    )
+    assert not (tmp_path / "s").exists()
+
+
 def test_split_missing_manifest(tmp_path, capsys):
     assert main(["split", str(tmp_path / "nope.manifest"), "--out", str(tmp_path),
                  "--strong-fraction", "0.5"]) == 1
@@ -321,12 +331,6 @@ def test_jobs_below_one_is_a_usage_error(cli_world, tmp_path, capsys, jobs):
     assert main(_run_args(cli_world, tmp_path / "run", extra=("--jobs", jobs))) == 2
     assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-    out = tmp_path / "pseudo.manifest"
-    assert main(["annotate", "--model", str(tmp_path / "model.bin"),
-                 "--pool", str(cli_world / "splits" / "rest.manifest"),
-                 "--strategy", "local", "--out", str(out), "--jobs", jobs]) == 2
-    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_cli_defaults_come_from_the_dataclasses(cli_world, tmp_path):
@@ -362,14 +366,14 @@ def test_cli_defaults_come_from_the_dataclasses(cli_world, tmp_path):
         "run": ["strong", "pool", "test", "out", "strategy", "rounds", "seed", "epochs",
                 "batch_size", "eval_iou", "jobs"],
         "eval": ["det", "gt", "iou", "report"],
-        "annotate": ["model", "pool", "strategy", "out", "jobs"],
+        "annotate": ["model", "pool", "strategy", "out"],
         "convert": ["images", "annotations", "out"],
     }
     assert {
         command: [a.dest for a in parser._actions if a.dest != "help"]
         for command, parser in commands.items()
     } == arguments
-    assert sum(map(len, arguments.values())) == 34
+    assert sum(map(len, arguments.values())) == 33
     # the strategy names come from the enums, and --seed is the training seed
     for command, names in (("run", Strategy), ("annotate", Provenance)):
         choices = {a.dest: a.choices for a in commands[command]._actions}["strategy"]
@@ -537,6 +541,27 @@ def test_convert_rejects_bad_dump(tmp_path, capsys):
                      "--out", str(tmp_path / "o.manifest")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ann / 'a.txt'}:2: ") and why in err, err
+
+
+@pytest.mark.parametrize("case", ["no annotation directory", "unmatched dump", "not UTF-8"])
+def test_convert_refuses_dumps_it_cannot_match_or_read(tmp_path, capsys, case):
+    img_dir, ann, out = tmp_path / "imgs", tmp_path / "ann", tmp_path / "o.manifest"
+    img_dir.mkdir()
+    write_pgm(img_dir / "img1.pgm", np.zeros((8, 8), dtype=np.uint8))
+    if case == "no annotation directory":
+        want = f"error: annotation directory {ann} not found\n"
+    elif case == "unmatched dump":  # Total-Text names its dumps gt_<image>.txt
+        ann.mkdir()
+        (ann / "gt_img1.txt").write_text("0,0,4,0,4,4\n")
+        want = f"error: {ann / 'gt_img1.txt'}: no image gt_img1.pgm under {img_dir}\n"
+    else:
+        ann.mkdir()
+        (ann / "img1.txt").write_bytes(b"0,0,4,0,4,\xff4\n")
+        want = f"error: {ann / 'img1.txt'}: not UTF-8 text (invalid start byte)\n"
+    assert main(["convert", "--images", str(img_dir), "--annotations", str(ann),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == want
+    assert not out.exists()
 
 
 def test_convert_takes_the_frame_from_the_images(tmp_path, capsys):

@@ -227,6 +227,20 @@ def test_manifest_rejects_negative_round(tmp_path):
         AnnotationRecord("a", "a.pgm", AnnotationTier.STRONG, round_index=-1)
 
 
+@pytest.mark.parametrize("key, tokens", [
+    pytest.param("round", "round=1\tround=7\tprovenance=LOCAL\tprovenance=NAIVE", id="round"),
+    pytest.param("provenance", "provenance=LOCAL\tround=1\tprovenance=NAIVE", id="provenance"),
+    pytest.param("scores", "scores=0.5\t0,0,4,0,4,4\tscores=0.7", id="scores"),
+])
+def test_manifest_refuses_a_repeated_metadata_key(tmp_path, key, tokens):
+    make_image(tmp_path, "a.pgm")
+    m = tmp_path / "bad.manifest"
+    m.write_text(f"#manifest width=16 height=16\n\na\ta.pgm\tSTRONG\t{tokens}\n")
+    with pytest.raises(ManifestError) as ei:
+        load_dataset(m)
+    assert str(ei.value) == f"{m}: line 3: metadata key {key!r} given twice"
+
+
 def test_split_counts_and_determinism(tmp_path):
     def dataset_of(n):
         recs = tuple(
@@ -264,6 +278,12 @@ def test_split_counts_and_determinism(tmp_path):
     # the tier is checked before the split, even when the rest comes out empty
     with pytest.raises(ValueError, match="downgrade must be WEAK, NONE or None"):
         split_dataset(dataset_of(1), 0.9, seed=0, downgrade=AnnotationTier.STRONG)
+    for fraction, n_strong in ((0.04, 0), (0.96, 10)):
+        with pytest.raises(ValueError) as ei:
+            split_dataset(dataset_of(10), fraction, seed=0)
+        assert str(ei.value) == (
+            f"strong_fraction {fraction} leaves a half empty: {n_strong} of 10 strong"
+        )
 
 
 def test_downgrade_to_weak():

@@ -431,7 +431,7 @@ def test_given_features_train_the_bytes_of_built_ones(easy_world):
     cfg = TrainConfig(epochs=2, seed=5, patch_radius=2)
     rows = sum(ex.image.size for ex in examples[:5])
     X = np.empty((rows + 999, feature_dim(2)), dtype=np.float32)
-    fill_features(examples[:5], 2, X[:rows])
+    fill_features([ex.image for ex in examples[:5]], 2, X[:rows])
     for base in (None, model):
         got = train(base, examples[:5], cfg, X[:rows])
         want = train(base, examples[:5], cfg)

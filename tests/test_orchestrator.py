@@ -20,7 +20,7 @@ from textboot.data import (
     split_dataset,
     write_pgm,
 )
-from textboot import detector, orchestrator
+from textboot import data, detector, orchestrator
 from textboot.detector import (
     DetectorModel, TrainConfig, TrainExample, feature_dim, load_model, save_model, train
 )
@@ -205,6 +205,19 @@ def test_wrong_size_pool_image_stops_the_run(world, tmp_path):
     assert result.failure.startswith("ImageError: ") and victim.image_id in result.failure
 
 
+def test_a_wrong_size_test_image_stops_the_run_before_round_0_trains(world, tmp_path):
+    _, strong, weak_pool, _, test_ds = world
+    victim = test_ds.records[-1]
+    small = tmp_path / "small.pgm"
+    write_pgm(small, read_pgm(victim.image_path)[:40, :])
+    test = replace(test_ds, records=test_ds.records[:-1] + (replace(victim, image_path=str(small)),))
+    cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=1, train_cfg=FAST)
+    result = run_pipeline(strong, weak_pool, test, cfg, tmp_path / "run")
+    assert result.incomplete and result.reports == () and result.best_round == -1
+    assert result.failure.startswith("ImageError: ") and victim.image_id in result.failure
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["f_vs_round.tsv", "metrics.txt"]
+
+
 def test_jobs_below_one_is_refused_before_anything_is_written(world, tmp_path):
     _, strong, weak_pool, _, test_ds = world
     cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=1, train_cfg=FAST)
@@ -214,10 +227,6 @@ def test_jobs_below_one_is_refused_before_anything_is_written(world, tmp_path):
     model = DetectorModel(np.zeros(feature_dim(3)), 0.0, 3, 0, 0, 0)
     with pytest.raises(ValueError, match=r"^jobs must be >= 1, got -3$"):
         annotate_pool(model, weak_pool, Provenance.LOCAL, jobs=-3)
-    save_model(model, tmp_path / "model.bin")
-    with pytest.raises(ValueError, match=r"^jobs must be >= 1, got 0$"):
-        cross_domain_annotate(tmp_path / "model.bin", weak_pool, tmp_path / "out" / "p", jobs=0)
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -235,16 +244,28 @@ def wide_world(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "strategy, rounds, builds", [("LOCAL", 3, 60), ("LOCAL", 0, 20), ("FULLY", 3, 60)]
+    "strategy, rounds, builds, reads",
+    [
+        pytest.param("LOCAL", 3, 60, 182, id="LOCAL-3-60"),
+        pytest.param("LOCAL", 0, 20, 22, id="LOCAL-0-20"),
+        pytest.param("FULLY", 3, 60, 62, id="FULLY-3-60"),
+    ],
 )
 def test_a_run_builds_each_images_features_once(
-    wide_world, tmp_path, monkeypatch, strategy, rounds, builds
+    wide_world, tmp_path, monkeypatch, strategy, rounds, builds, reads
 ):
     """Each image's feature rows are built once per run, and round 0
-    trains on a prefix of the rows the later rounds train on, not a copy."""
+    trains on a prefix of the rows the later rounds train on, not a copy.
+    The run reads each image once; only ``annotate_pool`` reads the pool
+    again, once per round after the baseline."""
     strong, weak_pool, strong_pool, test_ds = wide_world
-    built, trained = [], []
+    built, trained, read = [], [], []
     real_features, real_train = detector.patch_features, orchestrator.train
+    real_read = data.read_pgm
+
+    def counting_read(path):
+        read.append(path)
+        return real_read(path)
 
     def counting_features(image, radius, out=None):
         built.append(image.shape)
@@ -256,6 +277,7 @@ def test_a_run_builds_each_images_features_once(
 
     monkeypatch.setattr(detector, "patch_features", counting_features)
     monkeypatch.setattr(orchestrator, "train", recording_train)
+    monkeypatch.setattr(data, "read_pgm", counting_read)
     cfg = PipelineConfig(
         strategy=Strategy[strategy], rounds=rounds, train_cfg=TrainConfig(epochs=1)
     )
@@ -263,6 +285,7 @@ def test_a_run_builds_each_images_features_once(
     result = run_pipeline(strong, pool, test_ds, cfg, tmp_path / "run")
     assert not result.incomplete, result.failure
     assert len(built) == builds
+    assert len(read) == reads
     assert len(trained) == cfg.planned_rounds + 1
     assert all(f is not None for f in trained)
     for later in trained[1:]:

@@ -1,6 +1,7 @@
 """Tests for the three pseudo-annotation selectors and pool annotation."""
 
 from dataclasses import replace as dc_replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -394,7 +395,8 @@ def test_a_pseudo_set_that_is_not_its_pools_is_refused(weak_world):
     foreign = PseudoSet(
         Provenance.NAIVE, 1, per_image=tuple((i, ()) for i in sorted(ids + ["elsewhere"]))
     )
-    for convert in (pseudo_to_dataset, pseudo_examples):
+    images = [read_pgm(r.image_path) for r in weak_pool.records]
+    for convert in (pseudo_to_dataset, partial(pseudo_examples, images=images)):
         with pytest.raises(UnknownImageError) as ei:
             convert(weak_pool, missing)
         assert str(ei.value) == f"{ids[0]}: pool image missing from the pseudo set"
