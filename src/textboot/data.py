@@ -127,6 +127,14 @@ def _format_floats(vals) -> str:
     return ",".join(map(repr, np.asarray(vals, dtype=np.float64).tolist()))
 
 
+def _fits_manifest(image_id: str, path: str = ".") -> bool:
+    """Whether id and path each stay one non-empty manifest field: no TAB or
+    line break, and no leading ``#`` on the id (that line is a comment)."""
+    return not image_id.startswith("#") and all(
+        "\t" not in f and f.splitlines() == [f] for f in (image_id, path)
+    )
+
+
 def save_dataset(d: Dataset, manifest_path) -> None:
     """Write ``d`` so that load_dataset returns a structurally equal dataset."""
     path = Path(manifest_path)
@@ -134,9 +142,7 @@ def save_dataset(d: Dataset, manifest_path) -> None:
     lines = [f"#manifest width={d.image_width} height={d.image_height}"]
     for r in d.records:
         rel = os.path.relpath(Path(r.image_path).resolve(), base)
-        if r.image_id.startswith("#") or any(
-            "\t" in f or f.splitlines() != [f] for f in (r.image_id, rel)
-        ):
+        if not _fits_manifest(r.image_id, rel):
             raise ManifestError(
                 f"{path}: image id {r.image_id!r} or path {rel!r} is not one manifest field"
             )
@@ -326,6 +332,8 @@ def read_pgm(path) -> np.ndarray:
         i = j
     i += 1  # single whitespace byte after maxval
     w, h, maxval = tokens
+    if w == 0 or h == 0:
+        raise ImageError(f"{path}: PGM has no pixels ({w}x{h})")
     if maxval != 255:
         raise ImageError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     body = data[i : i + w * h]
@@ -423,7 +431,8 @@ class SceneSpec:
     text.  ``ribbon_lift`` and ``illumination`` are in gray levels.  The
     arc curvature, distractor brightness and texture cell are fixed.  Every
     value must be finite, and the widest stroke plus a 3 px gap on each
-    side must fit inside the shorter frame side.
+    side must fit inside the shorter frame side.  Each id,
+    ``<prefix>_<index>``, must be one manifest field and a file name.
     """
 
     n_images: int
@@ -443,6 +452,8 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.n_images < 1:
             raise ValueError(f"n_images must be >= 1, got {self.n_images}")
+        if not _fits_manifest(f"{self.prefix}_00000") or {"/", "\0"} & set(self.prefix):
+            raise ValueError(f"prefix {self.prefix!r} cannot start an image id and file name")
         if self.width < _MIN_SIDE or self.height < _MIN_SIDE:
             raise ValueError(
                 f"scene dims must be at least {_MIN_SIDE}x{_MIN_SIDE}, got {self.width}x{self.height}"

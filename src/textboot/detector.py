@@ -42,6 +42,8 @@ _BLOCK_ROWS = 8
 # Batch rows per float32 gradient product, summed in float64 in order: a
 # longer sgemv splits its rows across BLAS threads and its bytes vary.
 _GRAD_ROWS = 8192
+# The SGD step on a batch's mean gradient, the same for every model.
+LEARNING_RATE = 2.0
 
 _MAGIC = b"TXBM"
 _VERSION = 2
@@ -51,7 +53,6 @@ _HEADER = struct.Struct("<4sIIIIQQ")
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 26
-    learning_rate: float = 2.0
     batch_size: int = 4096
     seed: int = 0
     patch_radius: int = 3
@@ -59,8 +60,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
@@ -117,12 +116,15 @@ def feature_dim(radius: int) -> int:
     return (2 * radius + 1) ** 2 + 2
 
 
-def fill_features(images: list[np.ndarray], radius: int, out: np.ndarray) -> np.ndarray:
-    """Write each image's ``patch_features`` into ``out``, one image after
-    another in list order, and return ``out``.  Features need no labels.
-
-    Filled in place: concatenating per-image blocks would hold the rows twice.
+def fill_features(images: list[np.ndarray], radius: int) -> np.ndarray:
+    """Each image's ``patch_features`` in list order, filled in place into
+    one new C-contiguous float32 matrix (concatenating per-image blocks
+    would hold the rows twice).  Features need no labels.  A caller that
+    trains on some of the images first trains on a prefix of the matrix:
+    freeing a smaller one would raise malloc's mmap threshold and leave
+    later arrays of its size on the heap, growing the process.
     """
+    out = np.empty((sum(image.size for image in images), feature_dim(radius)), dtype=np.float32)
     row = 0
     for image in images:
         patch_features(image, radius, out=out[row : row + image.size])
@@ -243,12 +245,12 @@ def train(
     leaves a parameter non-finite.
 
     ``features``, when given, are the examples' feature rows as
-    ``fill_features`` writes them: a C-contiguous float32 array of shape
+    ``fill_features`` returns them: a C-contiguous float32 array of shape
     (total pixels, ``feature_dim(cfg.patch_radius)``), read and never
     written, so a caller that trains on the same images again can pass the
     same rows (or a prefix of them) instead of having them rebuilt.  Without
-    it, ``train`` builds them itself.  A wrong shape or dtype raises
-    ValueError.
+    it, ``train`` builds them with the same call.  A wrong shape or dtype
+    raises ValueError.
     """
     if not examples:
         raise EmptyTrainingSetError("training requires at least one example")
@@ -259,7 +261,7 @@ def train(
     radius = cfg.patch_radius
     shape = (sum(ex.image.size for ex in examples), feature_dim(radius))
     if features is None:
-        X = fill_features([ex.image for ex in examples], radius, np.empty(shape, dtype=np.float32))
+        X = fill_features([ex.image for ex in examples], radius)
     elif features.shape != shape or features.dtype != np.float32 or not features.flags.c_contiguous:
         raise ValueError(
             f"features must be a C-contiguous float32 array of shape {shape}, "
@@ -283,7 +285,7 @@ def train(
             grad = np.zeros(w.size)
             for r0 in range(0, idx.size, _GRAD_ROWS):
                 grad += g[r0 : r0 + _GRAD_ROWS] @ xb[r0 : r0 + _GRAD_ROWS]
-            step = cfg.learning_rate / idx.size
+            step = LEARNING_RATE / idx.size
             w -= step * grad
             b -= step * float(g.sum(dtype=np.float64))
         if not (np.all(np.isfinite(w)) and np.isfinite(b)):

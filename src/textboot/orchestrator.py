@@ -1,16 +1,16 @@
 """Bootstrap loop: baseline, annotate the pool, retrain, evaluate, repeat.
 
-Round 0 trains only on the small pixel-annotated set.  Each later round
+A run loads its images and their feature rows once, before round 0, which
+trains only on the small pixel-annotated set.  Each later round
 re-annotates the whole pool with the latest model (earlier pseudo labels
 are superseded, not accumulated), retrains from the round-0 baseline on
 the pixel-annotated set plus the fresh pseudo labels, and scores the
 result on a held-out test split.  A round trains on its pseudo masks as
 they are in memory, holes included; its pseudo manifest, which fills the
-holes, is only the record.  Round r trains with seed ``train_cfg.seed +
-r``.  The best round is the one with the highest F-measure, earliest on
-ties.  FULLY is the upper-bound setting: its only round is round 0 over
-the pixel-annotated set plus the whole pool, whose pixel annotations it
-trains on directly; it performs no pseudo-labeling.
+holes, is only the record.  Round r trains with seed ``train_cfg.seed + r``.
+The best round has the highest F-measure, earliest on ties.  FULLY, the
+upper bound, has only round 0, over the pixel-annotated set plus the whole
+pool, whose pixel annotations it trains on directly.
 
 Every run writes a self-describing directory: per-round model files,
 pseudo-label manifests and metrics, plus run-level metrics and an
@@ -24,8 +24,6 @@ import enum
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import (
     AnnotationTier, Dataset, Provenance, read_image, record_masks, require_tier, save_dataset
 )
@@ -33,7 +31,6 @@ from .detector import (
     DetectorModel,
     TrainConfig,
     TrainExample,
-    feature_dim,
     fill_features,
     load_model,
     save_model,
@@ -174,12 +171,14 @@ def run_pipeline(
 ) -> RunResult:
     """Execute one full bootstrap run, writing artifacts under run_dir.
 
-    Each image is read once: the strong and test splits before round 0, the
-    pool in round 1 (``annotate_pool`` reads it again each round).
-    A domain error mid-round (a bad or wrong-size image, diverged
-    training) stops the run and returns the rounds finished so far, with
-    the error as ``failure``; programming errors propagate.
-    ``best_round`` is -1 when not even the baseline round finished.
+    Check, load, rounds.  Before round 0 the run reads every image it uses,
+    each once (strong, test, then the pool if rounds follow the baseline;
+    ``annotate_pool`` reads it again each round), and builds their feature
+    rows, so a bad or wrong-size image in any split leaves no rounds.  A
+    domain error mid-round (diverged training) stops the run after the
+    rounds finished so far.  The error is returned as ``failure``;
+    programming errors propagate.  ``best_round`` is -1 when not even the
+    baseline round finished.
     A ``run_dir`` that already holds files, a strong or test split that is
     not STRONG, and a pool whose tier the strategy cannot use (FULLY needs
     STRONG) are refused before anything is written, so no artifact of an
@@ -209,37 +208,24 @@ def run_pipeline(
     models: list[DetectorModel] = []
     failure = None
     try:
+        # Load.  One feature matrix: the labelled rows, then the pool's.
         labelled = dataset_examples(strong)
         test_images = [read_image(test, rec) for rec in test.records]
         if cfg.strategy is Strategy.FULLY:
             labelled = labelled + dataset_examples(pool)
-
-        # Every round trains on the same images, so their feature rows are
-        # built once, into one matrix: the labelled rows, then the pool's.
-        # Round 0 trains on the prefix rather than on a matrix of its own,
-        # because freeing that one would raise malloc's mmap threshold and
-        # leave later arrays of its size on the heap, growing the process.
-        radius = cfg.train_cfg.patch_radius
-        labelled_rows = sum(ex.image.size for ex in labelled)
-        pool_rows = len(pool.records) * pool.image_width * pool.image_height
-        X = np.empty(
-            (labelled_rows + (pool_rows if cfg.planned_rounds else 0), feature_dim(radius)),
-            dtype=np.float32,
-        )
-        fill_features([ex.image for ex in labelled], radius, X[:labelled_rows])
+        pool_images = [read_image(pool, rec) for rec in pool.records] if cfg.planned_rounds else []
+        X = fill_features([ex.image for ex in labelled] + pool_images, cfg.train_cfg.patch_radius)
+        prefix = X[: sum(ex.image.size for ex in labelled)]
 
         for r in range(cfg.planned_rounds + 1):
             rdir = _round_dir(run_dir, r)
-            examples, base, pseudo_count, features = labelled, None, 0, X[:labelled_rows]
+            examples, base, pseudo_count, features = labelled, None, 0, prefix
             if r > 0:
                 pseudo = annotate_pool(
                     models[-1], pool, Provenance[cfg.strategy.value], round_index=r, jobs=jobs
                 )
                 save_dataset(pseudo_to_dataset(pool, pseudo), rdir / "pseudo.manifest")
                 pseudo_count = pseudo.count
-                if r == 1:
-                    pool_images = [read_image(pool, rec) for rec in pool.records]
-                    fill_features(pool_images, radius, X[labelled_rows:])
                 examples = labelled + pseudo_examples(pool, pseudo, pool_images)
                 base, features = models[0], X
 

@@ -101,6 +101,15 @@ def test_synth_refuses_a_frame_below_the_minimum(capsys, tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("prefix", ["#x", "a\tb", "a/b"])
+def test_synth_refuses_a_prefix_before_writing(capsys, tmp_path, prefix):
+    args = ["synth", "--n-images", "2", "--prefix", prefix, "--out", str(tmp_path / "x")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"invalid value: prefix {prefix!r} cannot start an image id and file name\n"
+    assert not (tmp_path / "x").exists()
+
+
 # --- split -------------------------------------------------------------------
 
 
@@ -561,6 +570,16 @@ def test_convert_refuses_dumps_it_cannot_match_or_read(tmp_path, capsys, case):
     assert main(["convert", "--images", str(img_dir), "--annotations", str(ann),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_convert_refuses_an_image_with_no_pixels(tmp_path, capsys):
+    img_dir, out = tmp_path / "imgs", tmp_path / "o.manifest"
+    img_dir.mkdir()
+    (img_dir / "a.pgm").write_bytes(b"P5\n0 5\n255\n")
+    args = ["convert", "--images", str(img_dir), "--annotations", str(tmp_path), "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {img_dir / 'a.pgm'}: PGM has no pixels (0x5)\n"
     assert not out.exists()
 
 

@@ -72,6 +72,8 @@ def test_read_pgm_errors_name_the_file(tmp_path):
         "short.pgm": b"P5\n2 2\n255\n000",
         "depth.pgm": b"P5\n2 2\n65535\n00000000",
         "huge.pgm": b"P5\n" + b"9" * 5000 + b" 2\n255\n0000",
+        "no-width.pgm": b"P5\n0 5\n255\n",
+        "no-height.pgm": b"P5\n5 0\n255\n",
     }
     for name, blob in bad.items():
         (tmp_path / name).write_bytes(blob)
@@ -348,7 +350,19 @@ _UNUSABLE_SPECS = {
     "widest-stroke-too-wide": (
         dict(width=80, height=19, stroke_width=(5, 13)), r"stroke_width up to 13 px .* 80x19"
     ),
+    "comment-prefix": (dict(prefix="#x"), r"^prefix '#x' cannot start an image id and file name$"),
+    "tab-prefix": (dict(prefix="a\tb"), r"^prefix 'a\\tb' cannot start"),
+    "line-break-prefix": (dict(prefix="a\rb"), r"^prefix 'a\\rb' cannot start"),
+    "slash-prefix": (dict(prefix="a/b"), r"^prefix 'a/b' cannot start"),
+    "nul-prefix": (dict(prefix="a\0b"), r"^prefix 'a\\x00b' cannot start"),
 }
+
+
+def test_an_empty_prefix_still_names_images(tmp_path):
+    ds = generate_synthetic(SceneSpec(n_images=2, prefix=""), tmp_path)
+    assert [r.image_id for r in load_dataset(tmp_path / "dataset.manifest").records] == [
+        "_00000", "_00001"
+    ] == [r.image_id for r in ds.records]
 
 
 @pytest.mark.parametrize("name", list(_UNUSABLE_SPECS))

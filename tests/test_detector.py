@@ -238,8 +238,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
         TrainConfig(patch_radius=0)
     with pytest.raises(ValueError):
         TrainConfig(seed=-1)
@@ -264,7 +262,8 @@ def test_train_rejects_radius_mismatch_with_base(easy_world):
         train(model, examples[:1], TrainConfig(patch_radius=model.patch_radius + 1))
 
 
-def test_train_raises_on_divergence():
+def test_train_raises_on_divergence(monkeypatch):
+    monkeypatch.setattr(detector, "LEARNING_RATE", 1e308)
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, (16, 16)).astype(np.uint8)
     m = np.zeros((16, 16), dtype=bool)
@@ -273,7 +272,7 @@ def test_train_raises_on_divergence():
     with np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         with pytest.raises(NonFiniteLossError):
-            train(None, [ex], TrainConfig(epochs=40, learning_rate=1e308, batch_size=64))
+            train(None, [ex], TrainConfig(epochs=40, batch_size=64))
 
 
 # --- trainer against the reference loop -------------------------------------
@@ -311,8 +310,8 @@ def _reference_train(base, examples, cfg):
                 (g[k : k + 8192] @ xb[k : k + 8192]).astype(np.float64)
                 for k in range(0, idx.size, 8192)
             )
-            w = w - cfg.learning_rate / idx.size * grad
-            b = b - cfg.learning_rate / idx.size * float(np.sum(g, dtype=np.float64))
+            w = w - detector.LEARNING_RATE / idx.size * grad
+            b = b - detector.LEARNING_RATE / idx.size * float(np.sum(g, dtype=np.float64))
     return w, b
 
 
@@ -430,8 +429,7 @@ def test_given_features_train_the_bytes_of_built_ones(easy_world):
     _, examples, model = easy_world
     cfg = TrainConfig(epochs=2, seed=5, patch_radius=2)
     rows = sum(ex.image.size for ex in examples[:5])
-    X = np.empty((rows + 999, feature_dim(2)), dtype=np.float32)
-    fill_features([ex.image for ex in examples[:5]], 2, X[:rows])
+    X = fill_features([ex.image for ex in examples[:6]], 2)
     for base in (None, model):
         got = train(base, examples[:5], cfg, X[:rows])
         want = train(base, examples[:5], cfg)

@@ -27,6 +27,7 @@ from textboot.detector import (
 from textboot.errors import (
     DisjointnessError,
     EmptyDatasetError,
+    NonFiniteLossError,
     TierError,
 )
 from textboot.orchestrator import (
@@ -174,23 +175,27 @@ def test_overlapping_splits_rejected(world, tmp_path):
         run_pipeline(strong, leaky, test_ds, cfg, tmp_path / "run")
 
 
-def test_mid_round_domain_error_yields_partial_result(world, tmp_path):
+def test_mid_round_domain_error_yields_partial_result(world, tmp_path, monkeypatch):
     _, strong, weak_pool, _, test_ds = world
-    # a wrong-size last pool image: the baseline round works, the FILTER round cannot
-    victim = weak_pool.records[-1]
-    small = tmp_path / "small.pgm"
-    write_pgm(small, read_pgm(victim.image_path)[:, :40])
-    pool = replace(weak_pool, records=weak_pool.records[:-1] + (replace(victim, image_path=str(small)),))
+    # round 2's training diverges: rounds 0 and 1 stand
+    real_train = orchestrator.train
+
+    def diverging_train(base, examples, cfg, features=None):
+        if cfg.seed == FAST.seed + 2:
+            raise NonFiniteLossError("training diverged")
+        return real_train(base, examples, cfg, features)
+
+    monkeypatch.setattr(orchestrator, "train", diverging_train)
     cfg = PipelineConfig(strategy=Strategy.FILTER, rounds=2, train_cfg=FAST)
-    result = run_pipeline(strong, pool, test_ds, cfg, tmp_path / "run")
+    result = run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run")
     assert result.incomplete
-    assert result.failure is not None and result.failure.startswith("ImageError: ")
-    assert len(result.reports) == 1  # baseline only
-    assert result.best_round == 0
+    assert result.failure == "NonFiniteLossError: training diverged"
+    assert [r.round_index for r in result.reports] == [0, 1]
+    assert result.best_round == best_round_index(result.reports)
     # run-level metrics still written for the completed rounds
     lines = (tmp_path / "run" / "metrics.txt").read_text().splitlines()
-    assert sum(1 for ln in lines if ln.startswith("round=")) == 1
-    assert lines[-1] == "best_round=0"
+    assert sum(1 for ln in lines if ln.startswith("round=")) == 2
+    assert lines[-1] == f"best_round={result.best_round}"
 
 
 def test_wrong_size_pool_image_stops_the_run(world, tmp_path):
@@ -201,8 +206,9 @@ def test_wrong_size_pool_image_stops_the_run(world, tmp_path):
     pool = replace(weak_pool, records=(replace(victim, image_path=str(small)),) + weak_pool.records[1:])
     cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=1, train_cfg=FAST)
     result = run_pipeline(strong, pool, test_ds, cfg, tmp_path / "run")
-    assert result.incomplete and len(result.reports) == 1
+    assert result.incomplete and result.reports == () and result.best_round == -1
     assert result.failure.startswith("ImageError: ") and victim.image_id in result.failure
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["f_vs_round.tsv", "metrics.txt"]
 
 
 def test_a_wrong_size_test_image_stops_the_run_before_round_0_trains(world, tmp_path):
@@ -254,14 +260,18 @@ def wide_world(tmp_path_factory):
 def test_a_run_builds_each_images_features_once(
     wide_world, tmp_path, monkeypatch, strategy, rounds, builds, reads
 ):
-    """Each image's feature rows are built once per run, and round 0
-    trains on a prefix of the rows the later rounds train on, not a copy.
-    The run reads each image once; only ``annotate_pool`` reads the pool
-    again, once per round after the baseline."""
+    """Each image's feature rows are built once per run, by one
+    ``fill_features`` call, and round 0 trains on a prefix of the rows the
+    later rounds train on, not a copy.  The run reads each image once; only
+    ``annotate_pool`` reads the pool again, once per round after the baseline."""
     strong, weak_pool, strong_pool, test_ds = wide_world
-    built, trained, read = [], [], []
+    built, filled, trained, read = [], [], [], []
     real_features, real_train = detector.patch_features, orchestrator.train
-    real_read = data.read_pgm
+    real_fill, real_read = orchestrator.fill_features, data.read_pgm
+
+    def counting_fill(images, radius):
+        filled.append(len(images))
+        return real_fill(images, radius)
 
     def counting_read(path):
         read.append(path)
@@ -277,6 +287,7 @@ def test_a_run_builds_each_images_features_once(
 
     monkeypatch.setattr(detector, "patch_features", counting_features)
     monkeypatch.setattr(orchestrator, "train", recording_train)
+    monkeypatch.setattr(orchestrator, "fill_features", counting_fill)
     monkeypatch.setattr(data, "read_pgm", counting_read)
     cfg = PipelineConfig(
         strategy=Strategy[strategy], rounds=rounds, train_cfg=TrainConfig(epochs=1)
@@ -285,6 +296,7 @@ def test_a_run_builds_each_images_features_once(
     result = run_pipeline(strong, pool, test_ds, cfg, tmp_path / "run")
     assert not result.incomplete, result.failure
     assert len(built) == builds
+    assert filled == [builds]
     assert len(read) == reads
     assert len(trained) == cfg.planned_rounds + 1
     assert all(f is not None for f in trained)
