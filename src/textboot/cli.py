@@ -2,12 +2,13 @@
 
 Exit codes: 0 on success, 1 on a domain or I/O error (with a diagnostic
 on stderr), 2 on a usage error.  Every subcommand is deterministic given
-its flags and seeds and never mutates its inputs; ``run`` additionally
-writes a run_manifest.json recording the tool version, the full config,
-and SHA-256 hashes of the input manifests and of every other file in the
-run directory, so a run can be re-verified byte for byte.  ``run --out``
-names the run directory, relative to the working directory unless absolute,
-and must be empty or missing.
+its flags and seeds and never mutates its inputs: an output that is the
+same file as one of them is refused before anything is written.  ``run``
+additionally writes a run_manifest.json recording the tool version, the
+full config, and SHA-256 hashes of the input manifests and of every other
+file in the run directory, so a run can be re-verified byte for byte.
+``run --out`` names the run directory, relative to the working directory
+unless absolute, and must be empty or missing.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _refuse_overwrite(outputs, inputs) -> None:
+    """TextBootError for an output that is the same file as one of the inputs."""
+    for out in filter(Path.exists, map(Path, outputs)):
+        for inp in inputs:
+            if out.samefile(inp):
+                raise TextBootError(f"output {out} is the input {inp}")
+
+
 def _choices(enum_type) -> list[str]:
     """The lower-case member names of an enum, as command-line choices."""
     return [member.name.lower() for member in enum_type]
@@ -89,6 +98,7 @@ def cmd_split(args) -> int:
     downgrade = None if tier is AnnotationTier.STRONG else tier
     strong, rest = split_dataset(ds, args.strong_fraction, args.seed, downgrade=downgrade)
     out = Path(args.out)
+    _refuse_overwrite([out / "strong.manifest", out / "rest.manifest"], [args.manifest])
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(strong, out / "strong.manifest")
     save_dataset(rest, out / "rest.manifest")
@@ -185,6 +195,7 @@ def cmd_eval(args) -> int:
         e.args = (f"{args.det}: {e} (truth: {args.gt})",)
         raise
     if args.report:
+        _refuse_overwrite([args.report], [args.det, args.gt])
         Path(args.report).write_text(report.to_text(), encoding="utf-8")
     print(f"P={report.precision:.3f} R={report.recall:.3f} F={report.f_measure:.3f}")
     return 0
@@ -195,6 +206,7 @@ def cmd_eval(args) -> int:
 
 def cmd_annotate(args) -> int:
     pool = load_dataset(Path(args.pool))
+    _refuse_overwrite([args.out], [args.model, args.pool] + [r.image_path for r in pool.records])
     pseudo = cross_domain_annotate(args.model, pool, args.out, Provenance[args.strategy.upper()])
     print(f"annotated {len(pool.records)} images: {pseudo.count} pseudo instances -> {args.out}")
     return 0
@@ -218,7 +230,8 @@ def cmd_convert(args) -> int:
         raise TextBootError(f"no .pgm images found under {images_dir}")
     if not ann_dir.is_dir():
         raise TextBootError(f"annotation directory {ann_dir} not found")
-    for dump in sorted(ann_dir.glob("*.txt")):
+    dumps = sorted(ann_dir.glob("*.txt"))
+    for dump in dumps:
         if not (images_dir / f"{dump.stem}.pgm").is_file():
             raise TextBootError(f"{dump}: no image {dump.stem}.pgm under {images_dir}")
     records = []
@@ -256,6 +269,7 @@ def cmd_convert(args) -> int:
         )
     ds = Dataset(records=tuple(records), image_width=w, image_height=h)
     out = Path(args.out)
+    _refuse_overwrite([out], image_files + dumps)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out)
     print(f"converted {len(records)} images -> {args.out}")

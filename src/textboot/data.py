@@ -431,8 +431,8 @@ class SceneSpec:
     text.  ``ribbon_lift`` and ``illumination`` are in gray levels.  The
     arc curvature, distractor brightness and texture cell are fixed.  Every
     value must be finite, and the widest stroke plus a 3 px gap on each
-    side must fit inside the shorter frame side.  Each id,
-    ``<prefix>_<index>``, must be one manifest field and a file name.
+    side must fit inside the shorter frame side.  Each id, ``<prefix>_<index>``,
+    must be one manifest field and a file name of at most 255 bytes.
     """
 
     n_images: int
@@ -452,7 +452,8 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.n_images < 1:
             raise ValueError(f"n_images must be >= 1, got {self.n_images}")
-        if not _fits_manifest(f"{self.prefix}_00000") or {"/", "\0"} & set(self.prefix):
+        name = f"{self.prefix}_{self.n_images - 1:05d}.pgm"  # the longest file name
+        if not _fits_manifest(name) or {"/", "\0"} & set(name) or len(os.fsencode(name)) > 255:
             raise ValueError(f"prefix {self.prefix!r} cannot start an image id and file name")
         if self.width < _MIN_SIDE or self.height < _MIN_SIDE:
             raise ValueError(
@@ -486,10 +487,10 @@ def generate_synthetic(spec: SceneSpec, out_dir) -> Dataset:
     """Render spec.n_images scenes into out_dir plus a manifest.
 
     Deterministic: the same spec produces byte-identical images and
-    manifest.  Returns the STRONG dataset; the manifest is written to
-    ``out_dir/dataset.manifest``.
+    manifest.  Returns the STRONG dataset, with absolute image paths, that
+    ``load_dataset`` reads back from ``out_dir/dataset.manifest``.
     """
-    out = Path(out_dir)
+    out = Path(out_dir).resolve()
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     records = []

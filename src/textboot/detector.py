@@ -5,7 +5,7 @@ neighbourhood plus the window mean and variance.  Training builds those
 features as rows; inference needs only their weighted sum, which is one
 correlation of the image plus two box filters.  Proposals are
 4-connected components of the probability map thresholded at the fixed
-``SCORE_THRESHOLD``, so a model holds only what training learned.  The
+``SCORE_THRESHOLD``, so a model is its parameters (weights and bias).  The
 point of this detector is not accuracy for its own sake: it is the
 smallest model the bootstrapping pipeline can train, annotate with and
 score.  Trained on more (pseudo-)annotated images it also takes more SGD
@@ -21,6 +21,7 @@ implementing the same protocol can be dropped in behind it:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -46,8 +47,8 @@ _GRAD_ROWS = 8192
 LEARNING_RATE = 2.0
 
 _MAGIC = b"TXBM"
-_VERSION = 2
-_HEADER = struct.Struct("<4sIIIIQQ")
+_VERSION = 3
+_HEADER = struct.Struct("<4sIQ")
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,14 @@ def feature_dim(radius: int) -> int:
     return (2 * radius + 1) ** 2 + 2
 
 
+def _radius_of(n_weights: int) -> int:
+    """The inverse of ``feature_dim``: the radius r >= 1 of ``n_weights`` weights."""
+    k = math.isqrt(max(n_weights - 2, 0))
+    if k < 3 or k % 2 == 0 or k * k != n_weights - 2:
+        raise ValueError(f"{n_weights} weights fit no patch radius >= 1")
+    return k // 2
+
+
 def fill_features(images: list[np.ndarray], radius: int) -> np.ndarray:
     """Each image's ``patch_features`` in list order, filled in place into
     one new C-contiguous float32 matrix (concatenating per-image blocks
@@ -140,7 +149,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Immutable trained model: its parameters and their lineage.
+    """Immutable trained model: its parameters; their count fixes ``patch_radius``.
 
     A pixel is text when its probability is >= ``SCORE_THRESHOLD``, for
     ``detect`` and ``masks_for_boxes`` alike.
@@ -148,23 +157,21 @@ class DetectorModel:
 
     weights: np.ndarray
     bias: float
-    patch_radius: int
-    rounds_seen: int
-    epochs_trained: int
-    seed: int
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size != feature_dim(self.patch_radius):
-            raise ValueError(
-                f"weights must have {feature_dim(self.patch_radius)} entries for radius "
-                f"{self.patch_radius}, got shape {w.shape}"
-            )
+        if w.ndim != 1:
+            raise ValueError(f"weights must be 1-d, got shape {w.shape}")
+        _radius_of(w.size)
         if not (np.all(np.isfinite(w)) and np.isfinite(self.bias)):
             raise ValueError("model parameters must be finite")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+
+    @property
+    def patch_radius(self) -> int:
+        return _radius_of(self.weights.size)
 
     def prob_map(self, image: np.ndarray) -> np.ndarray:
         """Per-pixel text probability, float64, same shape as the image.
@@ -293,66 +300,42 @@ def train(
                 f"training diverged: non-finite parameters after epoch {epoch + 1}"
             )
 
-    return DetectorModel(
-        weights=w,
-        bias=b,
-        patch_radius=radius,
-        rounds_seen=base.rounds_seen + 1 if base is not None else 0,
-        epochs_trained=(base.epochs_trained if base is not None else 0) + cfg.epochs,
-        seed=cfg.seed,
-    )
+    return DetectorModel(weights=w, bias=b)
 
 
 def save_model(model: DetectorModel, path) -> None:
     """Binary layout: header struct then little-endian float64 parameters.
 
-    Header (36 bytes): magic 'TXBM', version u32, patch_radius u32,
-    rounds_seen u32, epochs_trained u32, seed u64, n_params u64.
-    Parameters are the weight vector with the bias appended.
+    Header (16 bytes): magic 'TXBM', version u32 (3), n_params u64.
+    Parameters are the weight vector with the bias appended; their count
+    fixes the patch radius.
     """
     params = np.concatenate([model.weights, [model.bias]]).astype("<f8")
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        model.patch_radius,
-        model.rounds_seen,
-        model.epochs_trained,
-        model.seed,
-        params.size,
-    )
     with open(path, "wb") as f:
-        f.write(header)
+        f.write(_HEADER.pack(_MAGIC, _VERSION, params.size))
         f.write(params.tobytes())
 
 
 def load_model(path) -> DetectorModel:
+    """Read a ``save_model`` file; anything else is a ModelFormatError naming ``path``."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < _HEADER.size:
         raise ModelFormatError(f"{path}: file shorter than the model header")
-    magic, version, radius, rounds, epochs, seed, n_params = _HEADER.unpack(blob[: _HEADER.size])
+    magic, version, n_params = _HEADER.unpack_from(blob)
     if magic != _MAGIC:
         raise ModelFormatError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise ModelFormatError(f"{path}: unsupported model version {version}")
-    if n_params != feature_dim(radius) + 1:
-        raise ModelFormatError(
-            f"{path}: {n_params} parameters inconsistent with patch radius {radius}"
-        )
+    try:
+        _radius_of(n_params - 1)
+    except ValueError:
+        raise ModelFormatError(f"{path}: {n_params} parameters fit no patch radius") from None
     body = blob[_HEADER.size :]
     if len(body) != 8 * n_params:
-        raise ModelFormatError(
-            f"{path}: truncated parameter block ({len(body)} bytes for {n_params} params)"
-        )
+        raise ModelFormatError(f"{path}: {len(body)}-byte parameter block for {n_params} params")
     params = np.frombuffer(body, dtype="<f8")
     try:
-        return DetectorModel(
-            weights=params[:-1].astype(np.float64),
-            bias=float(params[-1]),
-            patch_radius=radius,
-            rounds_seen=rounds,
-            epochs_trained=epochs,
-            seed=seed,
-        )
+        return DetectorModel(weights=params[:-1], bias=float(params[-1]))
     except ValueError as e:
         raise ModelFormatError(f"{path}: {e}") from None

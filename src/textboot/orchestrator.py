@@ -175,9 +175,9 @@ def run_pipeline(
     each once (strong, test, then the pool if rounds follow the baseline;
     ``annotate_pool`` reads it again each round), and builds their feature
     rows, so a bad or wrong-size image in any split leaves no rounds.  A
-    domain error mid-round (diverged training) stops the run after the
-    rounds finished so far.  The error is returned as ``failure``;
-    programming errors propagate.  ``best_round`` is -1 when not even the
+    domain error (diverged training) or an OSError (a full disk) mid-round
+    stops the run after the rounds finished so far.  The error is returned
+    as ``failure``; programming errors propagate.  ``best_round`` is -1 when not even the
     baseline round finished.
     A ``run_dir`` that already holds files, a strong or test split that is
     not STRONG, and a pool whose tier the strategy cannot use (FULLY needs
@@ -247,7 +247,7 @@ def run_pipeline(
                     model_path=str(model_path),
                 )
             )
-    except TextBootError as exc:
+    except (TextBootError, OSError) as exc:
         failure = f"{type(exc).__name__}: {exc}"
 
     best = best_round_index(reports)

@@ -25,11 +25,12 @@ from textboot.data import (
     save_dataset,
     write_pgm,
 )
-from textboot.detector import TrainConfig
+from textboot.detector import DetectorModel, TrainConfig, feature_dim, save_model
 from textboot.evaluation import EvalConfig, evaluate
 from textboot.orchestrator import PipelineConfig, Strategy
 from textboot.cli import _manifest_detections
 from tests.test_detector import EASY
+from tests.test_orchestrator import fail_round_1_saves
 
 
 def _hash_tree(root: Path) -> dict[str, str]:
@@ -101,7 +102,7 @@ def test_synth_refuses_a_frame_below_the_minimum(capsys, tmp_path):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("prefix", ["#x", "a\tb", "a/b"])
+@pytest.mark.parametrize("prefix", ["#x", "a\tb", "a/b", pytest.param("a" * 300, id="300-bytes")])
 def test_synth_refuses_a_prefix_before_writing(capsys, tmp_path, prefix):
     args = ["synth", "--n-images", "2", "--prefix", prefix, "--out", str(tmp_path / "x")]
     assert main(args) == 1
@@ -289,6 +290,18 @@ def test_run_with_a_wrong_size_image_is_marked_incomplete(cli_world, tmp_path, c
     man = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
     assert man["incomplete"] and man["best_round"] == -1 and man["rounds"] == []
     assert (tmp_path / "run" / "metrics.txt").read_text() == "best_round=-1\n"
+
+
+def test_run_with_a_write_error_is_marked_incomplete(cli_world, tmp_path, capsys, monkeypatch):
+    """A full disk in round 1 leaves round 0 and a run marked incomplete."""
+    fail_round_1_saves(monkeypatch)
+    assert main(_run_args(cli_world, tmp_path / "run")) == 1
+    assert capsys.readouterr().err == (
+        "error: run incomplete: OSError: [Errno 28] No space left on device\n"
+    )
+    man = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert man["incomplete"] and man["best_round"] == 0
+    assert [r["round"] for r in man["rounds"]] == [0]
 
 
 def test_run_refuses_a_non_empty_run_directory(cli_world, tmp_path, capsys):
@@ -500,6 +513,33 @@ def test_annotate_empty_pool(cli_world, tmp_path):
     assert main(["annotate", "--model", str(model), "--pool", str(tmp_path / "empty.manifest"),
                  "--strategy", "local", "--out", str(out)]) == 0
     assert load_dataset(out, require_images=False).records == ()
+
+
+# --- inputs are never outputs ----------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["split", "eval", "annotate", "convert"])
+def test_a_subcommand_refuses_to_overwrite_its_input(cli_world, tmp_path, capsys, command):
+    world = tmp_path / "world"
+    shutil.copytree(cli_world, world)
+    strong, pool = world / "splits" / "strong.manifest", world / "splits" / "rest.manifest"
+    truth = world / "test" / "dataset.manifest"
+    model, dump = world / "m.bin", world / "test" / "test_00000.txt"
+    save_model(DetectorModel(np.zeros(feature_dim(3)), 0.0), model)
+    dump.write_text("1,1,9,1,9,9\n")
+    argv, victim = {
+        "split": (["split", str(strong), "--out", str(strong.parent), "--strong-fraction", ".5"],
+                  strong),
+        "eval": (["eval", "--det", str(truth), "--gt", str(truth), "--report", str(truth)], truth),
+        "annotate": (["annotate", "--model", str(model), "--pool", str(pool),
+                      "--strategy", "local", "--out", str(pool)], pool),
+        "convert": (["convert", "--images", str(dump.parent), "--annotations", str(dump.parent),
+                     "--out", str(dump)], dump),
+    }[command]
+    before = _hash_tree(world)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: output {victim} is the input {victim}\n"
+    assert _hash_tree(world) == before
 
 
 # --- convert -----------------------------------------------------------------

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,9 @@ _UNUSABLE_SPECS = {
     "line-break-prefix": (dict(prefix="a\rb"), r"^prefix 'a\\rb' cannot start"),
     "slash-prefix": (dict(prefix="a/b"), r"^prefix 'a/b' cannot start"),
     "nul-prefix": (dict(prefix="a\0b"), r"^prefix 'a\\x00b' cannot start"),
+    "long-prefix": (dict(prefix="a" * 300), r"^prefix 'a{300}' cannot start"),
+    # 123 two-byte characters: a_00000.pgm's 256 bytes, not its 133 characters, count
+    "multibyte-prefix": (dict(prefix="é" * 123), r"^prefix 'é{123}' cannot start"),
 }
 
 
@@ -363,6 +368,21 @@ def test_an_empty_prefix_still_names_images(tmp_path):
     assert [r.image_id for r in load_dataset(tmp_path / "dataset.manifest").records] == [
         "_00000", "_00001"
     ] == [r.image_id for r in ds.records]
+
+
+def test_the_longest_file_name_a_prefix_may_make_is_255_bytes(tmp_path):
+    ds = generate_synthetic(SceneSpec(n_images=1, prefix="a" * 245), tmp_path)
+    assert len(Path(ds.records[0].image_path).name) == 255
+    with pytest.raises(ValueError, match="cannot start"):  # its last image, _100000.pgm, is 256
+        SceneSpec(n_images=100_001, prefix="a" * 245)
+
+
+def test_generated_records_name_images_as_loading_does(tmp_path, monkeypatch):
+    """Absolute image paths, so the dataset still reads after a chdir."""
+    monkeypatch.chdir(tmp_path)
+    ds = generate_synthetic(SceneSpec(n_images=2), Path("w"))
+    assert ds == load_dataset(Path("w") / "dataset.manifest")
+    assert Path(ds.records[0].image_path) == tmp_path.resolve() / "w" / "img_00000.pgm"
 
 
 @pytest.mark.parametrize("name", list(_UNUSABLE_SPECS))

@@ -138,8 +138,7 @@ def _float64_prob_map(model, image):
 
 def _random_model(rng, radius, scale=1.0):
     return DetectorModel(
-        weights=rng.normal(0.0, scale, feature_dim(radius)), bias=float(rng.normal(0.0, scale)),
-        patch_radius=radius, rounds_seen=0, epochs_trained=1, seed=0,
+        weights=rng.normal(0.0, scale, feature_dim(radius)), bias=float(rng.normal(0.0, scale))
     )
 
 
@@ -460,12 +459,12 @@ def test_seed_changes_parameters(easy_world):
 
 
 def test_fine_tuning_updates_metadata(easy_world):
+    """Fine-tuning starts from the base model's parameters, not from zero."""
     _, examples, model = easy_world
     cfg = TrainConfig(epochs=2, seed=5, patch_radius=model.patch_radius)
-    tuned = train(model, examples[:2], cfg)
-    assert tuned.rounds_seen == model.rounds_seen + 1
-    assert tuned.epochs_trained == model.epochs_trained + 2
-    assert tuned.seed == 5
+    tuned, scratch = train(model, examples[:2], cfg), train(None, examples[:2], cfg)
+    assert tuned.weights.tobytes() != scratch.weights.tobytes()
+    assert tuned.bias != scratch.bias
 
 
 # --- detect ------------------------------------------------------------------
@@ -656,14 +655,13 @@ def test_save_load_round_trip_is_bit_exact(easy_world, tmp_path):
     path = tmp_path / "model.bin"
     save_model(model, path)
     back = load_model(path)
-    assert _HEADER.size == 36
-    assert path.stat().st_size == _HEADER.size + 8 * (feature_dim(model.patch_radius) + 1)
+    n_params = feature_dim(model.patch_radius) + 1
+    assert _HEADER.size == 16
+    assert path.read_bytes()[:16] == struct.pack("<4sIQ", b"TXBM", 3, n_params)
+    assert path.stat().st_size == 16 + 8 * n_params
     assert back.weights.tobytes() == model.weights.tobytes()
     assert back.bias == model.bias
     assert back.patch_radius == model.patch_radius
-    assert back.rounds_seen == model.rounds_seen
-    assert back.epochs_trained == model.epochs_trained
-    assert back.seed == model.seed
 
 
 def test_reloaded_model_detects_identically(easy_world, tmp_path):
@@ -713,17 +711,28 @@ def test_load_rejects_corrupt_files(easy_world, tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(padded)
 
-    # A whole file in the first format, whose header also held the two
-    # inference thresholds, is refused by its version before anything else.
-    v1_header = struct.Struct("<4sIIdIIIQQ").pack(
-        b"TXBM", 1, model.patch_radius, 0.5, 8,
-        model.rounds_seen, model.epochs_trained, model.seed, feature_dim(model.patch_radius) + 1,
-    )
-    v1 = tmp_path / "v1.bin"
-    v1.write_bytes(v1_header + blob[_HEADER.size :])
+    # Whole files in the earlier formats: the first also held the two
+    # inference thresholds, the second the radius and the lineage.  Each is
+    # refused by its version before anything else.
+    n_params = feature_dim(model.patch_radius) + 1
+    params = blob[_HEADER.size :]
+    older = {
+        1: struct.pack("<4sIIdIIIQQ", b"TXBM", 1, model.patch_radius, 0.5, 8, 0, 26, 0, n_params),
+        2: struct.pack("<4sIIIIQQ", b"TXBM", 2, model.patch_radius, 0, 26, 0, n_params),
+    }
+    for version, header in older.items():
+        old = tmp_path / f"v{version}.bin"
+        old.write_bytes(header + params)
+        with pytest.raises(ModelFormatError) as ei:
+            load_model(old)
+        assert str(ei.value) == f"{old}: unsupported model version {version}"
+
+    # 50 parameters, with their 400 bytes: 49 weights fit no patch radius.
+    no_radius = tmp_path / "no_radius.bin"
+    no_radius.write_bytes(struct.pack("<4sIQ", b"TXBM", 3, 50) + bytes(8 * 50))
     with pytest.raises(ModelFormatError) as ei:
-        load_model(v1)
-    assert str(ei.value) == f"{v1}: unsupported model version 1"
+        load_model(no_radius)
+    assert str(ei.value) == f"{no_radius}: 50 parameters fit no patch radius"
 
 
 def test_load_names_the_file_of_a_header_the_model_refuses(easy_world, tmp_path):
@@ -740,12 +749,9 @@ def test_load_names_the_file_of_a_header_the_model_refuses(easy_world, tmp_path)
 
 
 def test_model_validates_parameter_count():
-    with pytest.raises(ValueError):
-        DetectorModel(
-            weights=np.zeros(5),
-            bias=0.0,
-            patch_radius=2,
-            rounds_seen=0,
-            epochs_trained=0,
-            seed=0,
-        )
+    """The weight count is ``feature_dim(r)`` for some r >= 1, which is the radius."""
+    for n in (0, 1, 5, 10, 12, 50):
+        with pytest.raises(ValueError, match=rf"^{n} weights fit no patch radius >= 1$"):
+            DetectorModel(weights=np.zeros(n), bias=0.0)
+    for r in range(1, 7):
+        assert DetectorModel(weights=np.zeros(feature_dim(r)), bias=0.0).patch_radius == r

@@ -56,6 +56,30 @@ def _report(i, f):
     )
 
 
+def _spy_seeds(monkeypatch) -> list[int]:
+    """Record the seed of every ``train`` call a run makes, in call order."""
+    seeds, real_train = [], orchestrator.train
+
+    def spy(base, examples, cfg, features=None):
+        seeds.append(cfg.seed)
+        return real_train(base, examples, cfg, features)
+
+    monkeypatch.setattr(orchestrator, "train", spy)
+    return seeds
+
+
+def fail_round_1_saves(monkeypatch) -> None:
+    """Make ``save_model`` fail as on a full disk from round 1's model on."""
+    real_save = orchestrator.save_model
+
+    def save_or_fail(model, path):
+        if Path(path).parent.name == "round_001":
+            raise OSError(28, "No space left on device")
+        real_save(model, path)
+
+    monkeypatch.setattr(orchestrator, "save_model", save_or_fail)
+
+
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
     """Small train pool + separate test split, easy rendering."""
@@ -106,9 +130,10 @@ def test_rounds_zero_gives_only_baseline(world, tmp_path):
     assert (tmp_path / "run" / "f_vs_round.tsv").exists()
 
 
-def test_local_run_structure_and_artifacts(world, tmp_path):
+def test_local_run_structure_and_artifacts(world, tmp_path, monkeypatch):
     _, strong, weak_pool, _, test_ds = world
     cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=2, train_cfg=FAST)
+    seeds = _spy_seeds(monkeypatch)
     result = run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run")
     assert not result.incomplete
     assert [r.round_index for r in result.reports] == [0, 1, 2]
@@ -122,8 +147,8 @@ def test_local_run_structure_and_artifacts(world, tmp_path):
         assert len(pseudo.records) == len(weak_pool.records)
         assert all(rec.tier is AnnotationTier.STRONG for rec in pseudo.records)
         assert all(rec.round_index == r for rec in pseudo.records if rec.provenance)
-        model = load_model(rdir / "model.bin")
-        assert model.seed == cfg.train_cfg.seed + r
+        assert load_model(rdir / "model.bin").patch_radius == cfg.train_cfg.patch_radius
+    assert seeds == [cfg.train_cfg.seed + r for r in (0, 1, 2)]
     assert result.best_round == best_round_index(result.reports)
     # f-vs-round table lists every round
     tsv = (tmp_path / "run" / "f_vs_round.tsv").read_text().strip().splitlines()
@@ -198,6 +223,20 @@ def test_mid_round_domain_error_yields_partial_result(world, tmp_path, monkeypat
     assert lines[-1] == f"best_round={result.best_round}"
 
 
+def test_a_write_error_mid_run_yields_partial_result(world, tmp_path, monkeypatch):
+    """A full disk in round 1 keeps round 0 and marks the run incomplete."""
+    _, strong, weak_pool, _, test_ds = world
+    fail_round_1_saves(monkeypatch)
+    cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=2, train_cfg=FAST)
+    result = run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run")
+    assert result.incomplete
+    assert result.failure == "OSError: [Errno 28] No space left on device"
+    assert [r.round_index for r in result.reports] == [0] and result.best_round == 0
+    lines = (tmp_path / "run" / "metrics.txt").read_text().splitlines()
+    assert lines[0].startswith("round=0 ") and lines[1:] == ["best_round=0"]
+    assert (tmp_path / "run" / "f_vs_round.tsv").read_text().count("\n") == 2
+
+
 def test_wrong_size_pool_image_stops_the_run(world, tmp_path):
     _, strong, weak_pool, _, test_ds = world
     victim = weak_pool.records[0]
@@ -230,7 +269,7 @@ def test_jobs_below_one_is_refused_before_anything_is_written(world, tmp_path):
     with pytest.raises(ValueError, match=r"^jobs must be >= 1, got 0$"):
         run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run", jobs=0)
     assert not (tmp_path / "run").exists()
-    model = DetectorModel(np.zeros(feature_dim(3)), 0.0, 3, 0, 0, 0)
+    model = DetectorModel(np.zeros(feature_dim(3)), 0.0)
     with pytest.raises(ValueError, match=r"^jobs must be >= 1, got -3$"):
         annotate_pool(model, weak_pool, Provenance.LOCAL, jobs=-3)
 
@@ -416,12 +455,12 @@ def test_rounds_train_on_the_pseudo_masks_in_memory(holed_run, tmp_path):
     assert (tmp_path / "model.bin").read_bytes() == (run / "round_001" / "model.bin").read_bytes()
 
 
-def test_seed_flows_into_round_models(world, tmp_path):
+def test_seed_flows_into_round_models(world, tmp_path, monkeypatch):
     _, strong, weak_pool, _, test_ds = world
     cfg = PipelineConfig(strategy=Strategy.LOCAL, rounds=1, train_cfg=replace(FAST, seed=100))
+    seeds = _spy_seeds(monkeypatch)
     run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run")
-    assert load_model(tmp_path / "run" / "round_000" / "model.bin").seed == 100
-    assert load_model(tmp_path / "run" / "round_001" / "model.bin").seed == 101
+    assert seeds == [100, 101]
 
 
 # --- cross-domain -------------------------------------------------------------

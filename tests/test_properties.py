@@ -322,7 +322,7 @@ def _models(draw):
     radius = draw(st.integers(1, 2))
     weight = st.floats(-30.0, 30.0, allow_nan=False)
     weights = draw(arrays(np.float64, feature_dim(radius), elements=weight))
-    return DetectorModel(weights, draw(weight), radius, rounds_seen=0, epochs_trained=1, seed=0)
+    return DetectorModel(weights, draw(weight))
 
 
 @deterministic
@@ -331,7 +331,7 @@ def _models(draw):
     image=arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, min_side=3, max_side=24)),
 )
 @example(  # every probability is exactly the threshold: one component scoring 0.5
-    model=DetectorModel(np.zeros(feature_dim(1)), 0.0, 1, 0, 1, 0),
+    model=DetectorModel(np.zeros(feature_dim(1)), 0.0),
     image=np.zeros((4, 4), dtype=np.uint8),
 )
 def test_every_detection_scores_at_least_the_pixel_threshold(model, image):
