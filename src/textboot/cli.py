@@ -96,7 +96,11 @@ def cmd_split(args) -> int:
     ds = load_dataset(Path(args.manifest))
     tier = AnnotationTier[args.downgrade.upper()]
     downgrade = None if tier is AnnotationTier.STRONG else tier
-    strong, rest = split_dataset(ds, args.strong_fraction, args.seed, downgrade=downgrade)
+    try:
+        strong, rest = split_dataset(ds, args.strong_fraction, args.seed, downgrade=downgrade)
+    except TextBootError as e:
+        e.args = (f"{args.manifest}: {e}",)  # as load_dataset names its manifest
+        raise
     out = Path(args.out)
     _refuse_overwrite([out / "strong.manifest", out / "rest.manifest"], [args.manifest])
     out.mkdir(parents=True, exist_ok=True)

@@ -376,7 +376,7 @@ def split_dataset(
     seed: int,
     downgrade: AnnotationTier | None = AnnotationTier.WEAK,
 ) -> tuple[Dataset, Dataset]:
-    """Uniform random split into a strong subset and a downgraded rest.
+    """Uniform random split of STRONG ``d`` into a strong subset and a rest.
 
     ``|strong| = round(strong_fraction * |d|)``, and neither half may be
     empty.  The rest is downgraded to the requested tier (WEAK boxes or
@@ -389,6 +389,7 @@ def split_dataset(
         raise ValueError(f"strong_fraction must lie strictly between 0 and 1, got {strong_fraction}")
     if downgrade is not None and downgrade not in _DOWNGRADES:
         raise ValueError(f"downgrade must be WEAK, NONE or None, got {downgrade}")
+    require_tier(d, (AnnotationTier.STRONG,), "split")
     rng = np.random.default_rng(seed)
     n = len(d.records)
     n_strong = int(round(strong_fraction * n))
@@ -453,7 +454,11 @@ class SceneSpec:
         if self.n_images < 1:
             raise ValueError(f"n_images must be >= 1, got {self.n_images}")
         name = f"{self.prefix}_{self.n_images - 1:05d}.pgm"  # the longest file name
-        if not _fits_manifest(name) or {"/", "\0"} & set(name) or len(os.fsencode(name)) > 255:
+        try:  # the manifest is UTF-8 text, and a file name is at most 255 bytes
+            fits = len(name.encode("utf-8")) <= 255
+        except UnicodeEncodeError:  # a lone surrogate
+            fits = False
+        if not (fits and _fits_manifest(name)) or {"/", "\0"} & set(name):
             raise ValueError(f"prefix {self.prefix!r} cannot start an image id and file name")
         if self.width < _MIN_SIDE or self.height < _MIN_SIDE:
             raise ValueError(

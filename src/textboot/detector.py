@@ -14,7 +14,8 @@ at equal steps, extra labelled images move its F little.  Anything
 implementing the same protocol can be dropped in behind it:
 
 * ``train`` / ``save_model`` / ``load_model`` — fit and persist a model;
-* ``detect(image)`` — scored instance proposals (NAIVE and FILTER);
+* ``detect(image)`` — scored instance proposals (NAIVE and FILTER).  NAIVE
+  keeps every proposal, so ``detect`` returns only what it vouches for;
 * ``masks_for_boxes(image, boxes)`` — one mask per weak rectangle (LOCAL),
   with ``mask_for_box(image, box)`` as its one-box form.
 """

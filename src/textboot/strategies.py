@@ -2,9 +2,9 @@
 
 Three ways to turn detector output on pool images into training labels:
 
-* NAIVE  — keep every detection scoring strictly above a threshold.
-* FILTER — additionally require the detection's box to overlap some
-  weak (rectangle) annotation with IoU strictly above a threshold.
+* NAIVE  — keep every detection, as the model proposes it.
+* FILTER — keep the detections whose box overlaps some weak (rectangle)
+  annotation with IoU strictly above a threshold.
 * LOCAL  — skip detection entirely: for each weak rectangle, ask the
   model for the pixels inside it (one label per rectangle, never
   rejected; an empty mask, which a zero-area rectangle always gets, is
@@ -35,25 +35,16 @@ from .geometry import AxisRect, Detection, mask_to_polygon, rect_iou
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """NAIVE and FILTER selection thresholds; all comparisons are strict (>).
+    """FILTER's box-IoU bar, a strict (>) comparison; a run and ``textboot
+    annotate`` use the default.  No strategy has a score bar of its own:
+    every ``detect`` score is at least ``SCORE_THRESHOLD`` (0.5)."""
 
-    A library-level setting: a run and ``textboot annotate`` use these
-    defaults.  ``detect`` scores a component by the mean of pixels that
-    each reach ``SCORE_THRESHOLD`` (0.5), so every score is at least 0.5.
-    At the defaults FILTER's score bar therefore rejects nothing, NAIVE's
-    only a component whose every pixel is exactly 0.5, and FILTER selects
-    by its box-IoU bar alone.
-    """
-
-    score_threshold: float = 0.5
-    filter_score_threshold: float = 0.4
     filter_iou_threshold: float = 0.3
 
     def __post_init__(self) -> None:
-        for name in ("score_threshold", "filter_score_threshold", "filter_iou_threshold"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        v = self.filter_iou_threshold
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
+            raise ValueError(f"filter_iou_threshold must lie in [0, 1], got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -77,21 +68,15 @@ class PseudoSet:
         return sum(len(labels) for _, labels in self.per_image)
 
 
-def naive_select(candidates: list[Detection], cfg: StrategyConfig) -> list[Detection]:
-    """Keep candidates whose score is strictly above the threshold."""
-    return [d for d in candidates if d.score > cfg.score_threshold]
-
-
 def filter_select(
     candidates: list[Detection], weak_boxes: list[AxisRect], cfg: StrategyConfig
 ) -> list[Detection]:
-    """Keep candidates scoring above the (lower) threshold that also
-    overlap some weak rectangle with box IoU strictly above the cutoff."""
+    """Keep candidates whose box overlaps some weak rectangle with IoU
+    strictly above the cutoff, in their order."""
     return [
         d
         for d in candidates
-        if d.score > cfg.filter_score_threshold
-        and max((rect_iou(d.box, g) for g in weak_boxes), default=0.0) > cfg.filter_iou_threshold
+        if max((rect_iou(d.box, g) for g in weak_boxes), default=0.0) > cfg.filter_iou_threshold
     ]
 
 
@@ -141,7 +126,7 @@ def annotate_pool(
         elif strategy is Provenance.FILTER:
             labels = filter_select(model.detect(image), list(rec.rects), cfg)
         else:
-            labels = naive_select(model.detect(image), cfg)
+            labels = model.detect(image)
         return rec.image_id, tuple(labels)
 
     if jobs > 1 and len(pool.records) > 1:

@@ -12,7 +12,6 @@ import hashlib
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,7 +50,6 @@ from textboot.strategies import (
     StrategyConfig,
     filter_select,
     local_generate,
-    naive_select,
 )
 from tests.oracles import brute_force_match, polygon_area
 
@@ -193,14 +191,7 @@ def _random_detection(rng, extent: float = 24.0) -> Detection:
         & (rows + 0.5 >= box.y_min)
         & (rows + 0.5 < box.y_max)
     )
-    score = float(rng.random())
-    if rng.random() < 0.15:  # exercise the decision boundaries explicitly
-        score = float(rng.choice([0.4, 0.5, 0.3]))
-    return Detection(box=box, mask=BitMask(inside), score=score)
-
-
-def _ann_key(a) -> tuple:
-    return (a.box.x_min, a.box.y_min, a.box.x_max, a.box.y_max, a.score)
+    return Detection(box=box, mask=BitMask(inside), score=float(rng.random()))
 
 
 def test_selection_strategies_match_reference_rules():
@@ -208,33 +199,19 @@ def test_selection_strategies_match_reference_rules():
     cfg = StrategyConfig()
     t0 = time.time()
 
-    for _ in range(400):  # confidence+overlap gate == double-loop reference
+    for _ in range(400):  # overlap gate == double-loop reference
         cands = [_random_detection(rng) for _ in range(int(rng.integers(0, 9)))]
         weak = [_random_rect(rng) for _ in range(int(rng.integers(0, 6)))]
         got = filter_select(cands, weak, cfg)
         want = [
             d
             for d in cands
-            if d.score > cfg.filter_score_threshold
-            and max((rect_iou(d.box, b) for b in weak), default=0.0)
-            > cfg.filter_iou_threshold
+            if max((rect_iou(d.box, b) for b in weak), default=0.0) > cfg.filter_iou_threshold
         ]
         assert len(got) == len(want)
         for ann, det in zip(got, want):
             assert ann.box == det.box and ann.score == det.score
             assert np.array_equal(ann.mask.pixels, det.mask.pixels)
-
-    for _ in range(300):  # confidence-only rule: definition, monotonicity, subsets
-        cands = [_random_detection(rng) for _ in range(int(rng.integers(0, 9)))]
-        got_lo = naive_select(cands, replace(cfg, score_threshold=0.3))
-        got_hi = naive_select(cands, replace(cfg, score_threshold=0.6))
-        assert [_ann_key(a) for a in got_lo] == [
-            (d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max, d.score)
-            for d in cands
-            if d.score > 0.3
-        ]
-        lo_keys = [_ann_key(a) for a in got_lo]
-        assert all(_ann_key(a) in lo_keys for a in got_hi)
 
     model = _StubMaskModel()
     image = np.zeros(model.shape, dtype=np.uint8)
@@ -249,7 +226,7 @@ def test_selection_strategies_match_reference_rules():
 
     elapsed = time.time() - t0
     assert elapsed < 10.0, f"strategy oracle suite took {elapsed:.1f}s"
-    _announce("strategy oracle suite", f"1000 randomized sets in {elapsed:.1f}s")
+    _announce("strategy oracle suite", f"700 randomized sets in {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,16 @@ def test_split_refuses_an_empty_half(cli_world, tmp_path, capsys, fraction, n_st
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("downgrade", ["weak", "strong"])
+def test_split_refuses_a_manifest_that_is_not_strong(cli_world, tmp_path, capsys, downgrade):
+    rest = cli_world / "splits" / "rest.manifest"
+    first = load_dataset(rest).records[0].image_id
+    assert main(["split", str(rest), "--out", str(tmp_path / "s"), "--strong-fraction", "0.5",
+                 "--downgrade", downgrade]) == 1
+    assert capsys.readouterr().err == f"error: {rest}: {first}: split needs tier STRONG, got WEAK\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_split_missing_manifest(tmp_path, capsys):
     assert main(["split", str(tmp_path / "nope.manifest"), "--out", str(tmp_path),
                  "--strong-fraction", "0.5"]) == 1

@@ -290,6 +290,15 @@ def test_split_counts_and_determinism(tmp_path):
         )
 
 
+@pytest.mark.parametrize("downgrade", [AnnotationTier.WEAK, AnnotationTier.NONE, None])
+def test_split_refuses_a_record_that_is_not_strong(downgrade):
+    strong = AnnotationRecord("s", "s.pgm", AnnotationTier.STRONG, polygons=(tri(),))
+    weak = AnnotationRecord("w", "w.pgm", AnnotationTier.WEAK, rects=(AxisRect(0, 0, 4, 3),))
+    with pytest.raises(TierError) as ei:
+        split_dataset(Dataset((strong, weak), 16, 16), 0.5, seed=0, downgrade=downgrade)
+    assert str(ei.value) == "w: split needs tier STRONG, got WEAK"
+
+
 def test_downgrade_to_weak():
     quad = Polygon([(0, 0), (4, 2), (8, 0), (4, -2)])
     square = Polygon([(1, 1), (3, 1), (3, 3), (1, 3)])
@@ -360,6 +369,9 @@ _UNUSABLE_SPECS = {
     "long-prefix": (dict(prefix="a" * 300), r"^prefix 'a{300}' cannot start"),
     # 123 two-byte characters: a_00000.pgm's 256 bytes, not its 133 characters, count
     "multibyte-prefix": (dict(prefix="é" * 123), r"^prefix 'é{123}' cannot start"),
+    # the manifest is UTF-8 text, so a lone surrogate cannot be in an id
+    "surrogate-prefix": (dict(prefix="\ud800"), r"^prefix '\\ud800' cannot start"),
+    "escaped-byte-prefix": (dict(prefix="\udc80"), r"^prefix '\\udc80' cannot start"),
 }
 
 

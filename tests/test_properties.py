@@ -335,6 +335,6 @@ def _models(draw):
     image=np.zeros((4, 4), dtype=np.uint8),
 )
 def test_every_detection_scores_at_least_the_pixel_threshold(model, image):
-    """A score is the mean of pixels that each reach the threshold, so a
-    score bar below the threshold (FILTER's 0.4) rejects nothing."""
+    """A score is the mean of pixels that each reach the threshold, so NAIVE
+    and FILTER need no score bar: one below the threshold rejects nothing."""
     assert all(d.score >= SCORE_THRESHOLD for d in model.detect(image))

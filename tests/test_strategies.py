@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from textboot.data import (
+    AnnotationRecord,
     AnnotationTier,
     Dataset,
     SceneSpec,
     downgrade_record,
     generate_synthetic,
     read_pgm,
+    write_pgm,
 )
-from textboot.detector import TrainConfig, train
+from textboot.detector import DetectorModel, TrainConfig, feature_dim, train
 from textboot.errors import TierError, UnknownImageError
 from textboot.geometry import AxisRect, BitMask, Detection, mask_iou, rasterize, rect_iou
 from textboot.orchestrator import pseudo_examples
@@ -25,7 +27,6 @@ from textboot.strategies import (
     annotate_pool,
     filter_select,
     local_generate,
-    naive_select,
     pseudo_to_dataset,
 )
 from tests.test_detector import EASY, _examples
@@ -92,42 +93,35 @@ class OracleModel:
 # --- naive -------------------------------------------------------------------
 
 
-def test_naive_empty_candidates():
-    assert naive_select([], StrategyConfig()) == []
+def _flat_pool(root, side):
+    """A NONE pool of one flat ``side`` x ``side`` image, ``p0``."""
+    path = root / "p0.pgm"
+    write_pgm(path, np.zeros((side, side), dtype=np.uint8))
+    return Dataset((AnnotationRecord("p0", str(path), AnnotationTier.NONE),), side, side)
 
 
-def test_naive_keeps_only_above_threshold():
-    dets = [
-        _rect_detection(16, 16, 1, 1, 5, 5, 0.6),
-        _rect_detection(16, 16, 8, 8, 12, 12, 0.4),
-    ]
-    kept = naive_select(dets, StrategyConfig(score_threshold=0.5))
-    assert len(kept) == 1
-    assert kept[0] is dets[0]
+def test_naive_preserves_order(tmp_path):
+    """NAIVE keeps every proposal, whatever its score, in detect's order."""
+    dets = _random_detections(np.random.default_rng(6), 10)
+    ps = annotate_pool(OracleModel([], dets), _flat_pool(tmp_path, 32), Provenance.NAIVE)
+    assert ps.per_image == (("p0", tuple(dets)),)
 
 
-def test_naive_boundary_is_strict():
-    dets = [_rect_detection(16, 16, 1, 1, 5, 5, 0.5)]
-    assert naive_select(dets, StrategyConfig(score_threshold=0.5)) == []
+def test_naive_keeps_a_proposal_scoring_exactly_the_pixel_threshold(tmp_path):
+    """A zero model gives every pixel p = 0.5: one proposal, scoring 0.5."""
+    model = DetectorModel(np.zeros(feature_dim(1)), 0.0)
+    pool = _flat_pool(tmp_path, 16)
+    proposals = model.detect(read_pgm(pool.records[0].image_path))
+    assert [d.score for d in proposals] == [0.5]
+    ps = annotate_pool(model, pool, Provenance.NAIVE)
+    assert ps.per_image == (("p0", tuple(proposals)),) and ps.count == 1
 
 
-def test_naive_subset_and_monotone_in_threshold():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        dets = _random_detections(rng, int(rng.integers(0, 8)))
-        s1, s2 = sorted(rng.uniform(size=2))
-        lo = {(a.box, a.mask.pixels.tobytes()) for a in naive_select(dets, StrategyConfig(score_threshold=s1))}
-        hi = {(a.box, a.mask.pixels.tobytes()) for a in naive_select(dets, StrategyConfig(score_threshold=s2))}
-        allc = {(d.box, d.mask.pixels.tobytes()) for d in dets}
-        assert hi <= lo <= allc
-
-
-def test_naive_preserves_order():
-    rng = np.random.default_rng(6)
-    dets = _random_detections(rng, 10)
-    kept = naive_select(dets, StrategyConfig(score_threshold=0.3))
-    boxes = [d.box for d in dets if d.score > 0.3]
-    assert [a.box for a in kept] == boxes
+@pytest.mark.parametrize("value", [float("nan"), -0.1, 1.5, "0.3"])
+def test_strategy_config_refuses_an_iou_bar_outside_0_1(value):
+    with pytest.raises(ValueError) as ei:
+        StrategyConfig(filter_iou_threshold=value)
+    assert str(ei.value) == f"filter_iou_threshold must lie in [0, 1], got {value!r}"
 
 
 # --- filter ------------------------------------------------------------------
@@ -157,11 +151,7 @@ def test_filter_keeps_joint_pass():
 
 
 def test_filter_boundaries_are_strict():
-    # score exactly at the threshold fails
-    d = _rect_detection(32, 32, 2, 2, 10, 10, 0.4)
-    g = AxisRect(2.0, 2.0, 10.0, 10.0)
-    assert filter_select([d], [g], StrategyConfig()) == []
-    # IoU exactly at the threshold fails: [0,3)x[0,1) vs [0,7)x[0,1) gives 3/7... use exact 0.3
+    # IoU exactly at the threshold fails: [0,3)x[0,1) vs [0,10)x[0,1) is 0.3
     d2 = _rect_detection(32, 32, 0, 0, 3, 1, 0.9)
     g2 = AxisRect(0.0, 0.0, 10.0, 1.0)
     assert rect_iou(d2.box, g2) == 0.3
@@ -169,15 +159,14 @@ def test_filter_boundaries_are_strict():
 
 
 def test_filter_subset_of_naive_at_same_threshold():
+    """NAIVE keeps every candidate; FILTER keeps a subset of them, in order."""
     rng = np.random.default_rng(7)
     for _ in range(50):
         dets = _random_detections(rng, int(rng.integers(0, 8)))
         boxes = _random_boxes(rng, int(rng.integers(0, 5)))
-        s = float(rng.uniform())
-        cfg = StrategyConfig(score_threshold=s, filter_score_threshold=s)
-        filtered = {(a.box, a.mask.pixels.tobytes()) for a in filter_select(dets, boxes, cfg)}
-        naive = {(a.box, a.mask.pixels.tobytes()) for a in naive_select(dets, cfg)}
-        assert filtered <= naive
+        cfg = StrategyConfig(filter_iou_threshold=float(rng.uniform()))
+        rest = iter(dets)
+        assert all(d in rest for d in filter_select(dets, boxes, cfg))  # a subsequence
 
 
 def test_filter_matches_double_loop_oracle():
@@ -185,19 +174,15 @@ def test_filter_matches_double_loop_oracle():
     for _ in range(200):
         dets = _random_detections(rng, int(rng.integers(0, 8)))
         boxes = _random_boxes(rng, int(rng.integers(0, 6)))
-        cfg = StrategyConfig(
-            filter_score_threshold=float(rng.uniform()),
-            filter_iou_threshold=float(rng.uniform()),
-        )
+        cfg = StrategyConfig(filter_iou_threshold=float(rng.uniform()))
         expect = []
         for d in dets:
-            if d.score > cfg.filter_score_threshold:
-                hit = False
-                for g in boxes:
-                    if rect_iou(d.box, g) > cfg.filter_iou_threshold:
-                        hit = True
-                if hit:
-                    expect.append(d.box)
+            hit = False
+            for g in boxes:
+                if rect_iou(d.box, g) > cfg.filter_iou_threshold:
+                    hit = True
+            if hit:
+                expect.append(d.box)
         got = [a.box for a in filter_select(dets, boxes, cfg)]
         assert got == expect
 
@@ -246,7 +231,6 @@ def test_strategies_are_pure():
     dets = _random_detections(rng, 6)
     boxes = _random_boxes(rng, 4)
     cfg = StrategyConfig()
-    assert naive_select(dets, cfg) == naive_select(dets, cfg)
     assert filter_select(dets, boxes, cfg) == filter_select(dets, boxes, cfg)
 
 
@@ -264,8 +248,7 @@ def test_pseudo_set_requires_sorted_unique_ids():
 def test_pseudo_set_stats():
     d1 = _rect_detection(16, 16, 1, 1, 5, 5, 0.8)
     d2 = _rect_detection(16, 16, 8, 8, 12, 12, 0.6)
-    anns = naive_select([d1, d2], StrategyConfig(score_threshold=0.1))
-    ps = PseudoSet(Provenance.NAIVE, 2, per_image=(("img", tuple(anns)),))
+    ps = PseudoSet(Provenance.NAIVE, 2, per_image=(("img", (d1, d2)),))
     assert ps.count == 2
     assert dict(ps.per_image)["img"] == (d1, d2)
 
