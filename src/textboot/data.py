@@ -31,7 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ImageError, ManifestError, TextBootError, TierError
+from .errors import (
+    EmptyDatasetError,
+    ImageError,
+    ManifestError,
+    TextBootError,
+    TierError,
+    require_integers,
+)
 from .geometry import AxisRect, BitMask, Polygon, rasterize, vertex_bbox
 
 
@@ -78,6 +85,9 @@ class AnnotationRecord:
                 raise ValueError(
                     f"{self.image_id}: {len(self.scores)} scores for {len(self.polygons)} polygons"
                 )
+            for score in self.scores:
+                if not (math.isfinite(score) and 0.0 <= score <= 1.0):
+                    raise ValueError(f"{self.image_id}: score must lie in [0, 1], got {score}")
         if self.provenance is not None and self.provenance not in Provenance.__members__:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.round_index is not None and self.round_index < 0:
@@ -136,12 +146,28 @@ def _fits_manifest(image_id: str, path: str = ".") -> bool:
 
 
 def save_dataset(d: Dataset, manifest_path) -> None:
-    """Write ``d`` so that load_dataset returns a structurally equal dataset."""
+    """Write ``d`` so that load_dataset returns a structurally equal dataset.
+
+    Each image path is written relative to the manifest's resolved
+    directory, as ``Path(image_path).resolve()`` gives it.  Each distinct
+    image directory is resolved once per call and the last component
+    joined to it; a path is resolved whole only when that component is a
+    symlink.  A last ``.`` or ``..`` needs no link lookup: ``relpath``
+    folds it into the resolved directory.
+    """
     path = Path(manifest_path)
     base = path.resolve().parent
+    real_dirs: dict[str, str] = {}  # image directory as given -> resolved
     lines = [f"#manifest width={d.image_width} height={d.image_height}"]
     for r in d.records:
-        rel = os.path.relpath(Path(r.image_path).resolve(), base)
+        head, tail = os.path.split(r.image_path)
+        if os.path.islink(r.image_path):
+            resolved = str(Path(r.image_path).resolve())
+        else:
+            if head not in real_dirs:
+                real_dirs[head] = os.path.realpath(head)
+            resolved = os.path.join(real_dirs[head], tail)
+        rel = os.path.relpath(resolved, base)
         if not _fits_manifest(r.image_id, rel):
             raise ManifestError(
                 f"{path}: image id {r.image_id!r} or path {rel!r} is not one manifest field"
@@ -451,6 +477,7 @@ class SceneSpec:
     pixel_noise: float = 7.0
 
     def __post_init__(self) -> None:
+        require_integers(self, "n_images", "width", "height", "seed")
         if self.n_images < 1:
             raise ValueError(f"n_images must be >= 1, got {self.n_images}")
         name = f"{self.prefix}_{self.n_images - 1:05d}.pgm"  # the longest file name

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 from scipy.special import expit
 
-from .errors import EmptyTrainingSetError, ModelFormatError, NonFiniteLossError
+from .errors import EmptyTrainingSetError, ModelFormatError, NonFiniteLossError, require_integers
 from .geometry import FOUR_CONNECTED, AxisRect, BitMask, Detection, center_span
 
 # The same for every model: a pixel is text when p >= the threshold (the
@@ -60,6 +60,7 @@ class TrainConfig:
     patch_radius: int = 3
 
     def __post_init__(self) -> None:
+        require_integers(self, "epochs", "batch_size", "seed", "patch_radius")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -192,16 +193,22 @@ class DetectorModel:
         return _sigmoid(z + w_mean * m + w_var * 4.0 * v + self.bias)
 
     def detect(self, image: np.ndarray) -> list[Detection]:
-        """Threshold + connected components; sorted by descending score."""
+        """Threshold + connected components; sorted by descending score.
+
+        A component is sized inside its bounding box: one whose box area is
+        below ``MIN_COMPONENT_PIXELS`` cannot hold that many pixels and is
+        skipped unread, and only the other boxes' pixels are counted.
+        """
         probs = self.prob_map(image)
         fired = probs >= SCORE_THRESHOLD
-        labels, n = ndimage.label(fired, structure=FOUR_CONNECTED)
-        sizes = np.bincount(labels.reshape(-1), minlength=n + 1)
+        labels, _ = ndimage.label(fired, structure=FOUR_CONNECTED)
         dets: list[Detection] = []
         for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), 1):
-            if sizes[lab] < MIN_COMPONENT_PIXELS:
+            if (rows.stop - rows.start) * (cols.stop - cols.start) < MIN_COMPONENT_PIXELS:
                 continue
             crop = labels[rows, cols] == lab
+            if np.count_nonzero(crop) < MIN_COMPONENT_PIXELS:
+                continue
             comp = np.zeros(labels.shape, dtype=bool)
             comp[rows, cols] = crop
             # The crop holds the component's pixels in the frame's row-major order.

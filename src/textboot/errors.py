@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer check its
+configs share."""
+
+import operator
 
 
 class TextBootError(Exception):
@@ -57,3 +60,14 @@ class UnknownImageError(TextBootError):
 class DisjointnessError(TextBootError):
     """Strong, pool, and test datasets must not share image ids."""
 
+
+def require_integers(config, *names: str) -> None:
+    """Raise ValueError, naming the field, for the first of ``config``'s
+    fields ``names`` that ``operator.index`` refuses (a float, a string);
+    Python and numpy integers pass."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None

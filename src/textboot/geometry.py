@@ -196,8 +196,8 @@ def rect_iou(a: AxisRect, b: AxisRect) -> float:
 def center_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
     """Index range of the pixels in ``0 .. limit - 1`` whose centers fall
     inside [lo, hi); empty (first >= last) when none does."""
-    first = max(0, int(np.ceil(lo - 0.5)))
-    last = min(limit, int(np.ceil(hi - 0.5)))
+    first = max(0, math.ceil(lo - 0.5))
+    last = min(limit, math.ceil(hi - 0.5))
     return first, last
 
 
@@ -260,13 +260,24 @@ def mask_to_polygon(m: BitMask) -> list[Polygon]:
     hole-free components ``rasterize`` reproduces the component exactly.
     Interior holes are not traced and end up filled on the round trip.
     Components are emitted in scan order of their first pixel.
+
+    Only the mask's bounding crop is labelled; it keeps the frame's
+    row-major order, so its labels come in the same order.  A crop that
+    holds one component is traced as it is.
     """
-    if m.count == 0:
+    px = m.pixels
+    rows = np.flatnonzero(px.any(axis=1))
+    if rows.size == 0:
         return []
-    labels, _ = ndimage.label(m.pixels, structure=FOUR_CONNECTED)
+    cols = np.flatnonzero(px.any(axis=0))
+    y0, x0 = int(rows[0]), int(cols[0])
+    crop = px[y0 : rows[-1] + 1, x0 : cols[-1] + 1]
+    labels, n = ndimage.label(crop, structure=FOUR_CONNECTED)
+    if n == 1:
+        return [_trace_outer_boundary(crop, x0, y0)]
     return [
-        _trace_outer_boundary(labels[rows, cols] == lab, cols.start, rows.start)
-        for lab, (rows, cols) in enumerate(ndimage.find_objects(labels), 1)
+        _trace_outer_boundary(labels[r, c] == lab, x0 + c.start, y0 + r.start)
+        for lab, (r, c) in enumerate(ndimage.find_objects(labels), 1)
     ]
 
 
@@ -286,13 +297,17 @@ def _trace_outer_boundary(crop: np.ndarray, x0: int, y0: int) -> Polygon:
     """Walk the outer boundary of one component, inside kept on the right.
 
     ``crop`` is the component's bounding box, holding only its pixels, and
-    its top-left pixel is ``(x0, y0)`` in the frame.  The walk reads the
-    zero-padded crop as a flat byte string, so corner (x, y) is index
-    ``(y + 1) * stride + x + 1`` and each step or lookup is one offset.
+    its top-left pixel is ``(x0, y0)`` in the frame.  The crop is copied
+    into a zero-bordered buffer read as a flat byte string, so corner
+    (x, y) is index ``(y + 1) * stride + x + 1`` and each step or lookup is
+    one offset; the vertices are the turning corners' offsets, decoded
+    with numpy.
     """
     h, w = crop.shape
     stride = w + 2
-    cells = np.pad(crop, 1).tobytes()
+    framed = np.zeros((h + 2, stride), dtype=bool)
+    framed[1:-1, 1:-1] = crop
+    cells = framed.tobytes()
     steps, right, left = zip(
         *(
             (dy * stride + dx, rdy * stride + rdx, ldy * stride + ldx)
@@ -316,4 +331,5 @@ def _trace_outer_boundary(crop: np.ndarray, x0: int, y0: int) -> Polygon:
         corners.append(at)
     else:
         raise RuntimeError("boundary trace failed to close")
-    return Polygon([(x0 + c % stride - 1, y0 + c // stride - 1) for c in corners])
+    row, col = np.divmod(np.array(corners), stride)
+    return Polygon(np.column_stack((col + (x0 - 1), row + (y0 - 1))))

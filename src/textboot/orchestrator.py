@@ -36,7 +36,13 @@ from .detector import (
     save_model,
     train,
 )
-from .errors import DimensionMismatchError, DisjointnessError, EmptyDatasetError, TextBootError
+from .errors import (
+    DimensionMismatchError,
+    DisjointnessError,
+    EmptyDatasetError,
+    TextBootError,
+    require_integers,
+)
 from .evaluation import EvalConfig, EvalReport, evaluate
 from .strategies import (
     _ALLOWED_TIERS, PseudoSet, annotate_pool, pool_labels, pseudo_to_dataset
@@ -56,6 +62,7 @@ class PipelineConfig:
     eval_cfg: EvalConfig = EvalConfig()
 
     def __post_init__(self) -> None:
+        require_integers(self, "rounds")
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
 

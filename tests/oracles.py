@@ -6,6 +6,9 @@ obviously-correct version of something the package does another way.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 from scipy import ndimage
 
@@ -118,6 +121,12 @@ class ValidateFirstRibbons:
         except ValueError:
             self.rejected += 1
             return None
+
+
+def resolved_relpath(image_path: str, base) -> str:
+    """An image path as a manifest names it: its whole path resolved, then
+    made relative to the manifest's resolved directory ``base``."""
+    return os.path.relpath(Path(image_path).resolve(), base)
 
 
 def per_label_detect(probs: np.ndarray, threshold: float, min_pixels: int) -> list[Detection]:

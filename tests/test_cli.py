@@ -453,6 +453,19 @@ def test_eval_names_the_detection_manifest_with_unknown_ids(cli_world, capsys):
     )
 
 
+def test_eval_refuses_a_score_outside_0_1_naming_the_file_and_line(cli_world, tmp_path, capsys):
+    gt = cli_world / "test" / "dataset.manifest"
+    header, first = gt.read_text().splitlines()[:2]
+    image_id, rel, tier, *polygons = first.split("\t")
+    scores = ",".join(["0.9"] * (len(polygons) - 1) + ["1.5"])
+    det = tmp_path / "d.manifest"
+    det.write_text("\n".join([header, "\t".join([image_id, rel, tier, f"scores={scores}", *polygons])]))
+    assert main(["eval", "--det", str(det), "--gt", str(gt)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {det}: line 2: {image_id}: score must lie in [0, 1], got 1.5\n"
+    )
+
+
 def test_eval_missing_file(tmp_path, capsys):
     assert main(["eval", "--det", str(tmp_path / "x"), "--gt", str(tmp_path / "y")]) == 1
     assert "error" in capsys.readouterr().err.lower()

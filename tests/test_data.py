@@ -24,7 +24,7 @@ from textboot.errors import (
     TierError,
 )
 from textboot.geometry import AxisRect, BitMask, Polygon, mask_iou, rasterize
-from tests.oracles import ValidateFirstRibbons
+from tests.oracles import ValidateFirstRibbons, resolved_relpath
 
 
 def tri(ox=0.0, oy=0.0):
@@ -93,6 +93,53 @@ def test_manifest_names_images_relative_to_itself(tmp_path):
     save_dataset(ds, mpath)
     assert mpath.read_text().splitlines()[1] == "a\t../../imgs/a.pgm\tNONE"
     assert load_dataset(mpath) == ds
+
+
+def _linked_tree(root: Path) -> None:
+    """imgs/{a,b}.pgm, deep/real/{c.pgm, sub/}, and links to them."""
+    for d in ("imgs", "deep/real/sub", "m"):
+        (root / d).mkdir(parents=True)
+    for p in ("imgs/a.pgm", "imgs/b.pgm", "deep/real/c.pgm"):
+        make_image(root, p)
+    (root / "imgs" / "link.pgm").symlink_to("b.pgm")
+    (root / "imgs_link").symlink_to("imgs")
+    (root / "sub_link").symlink_to(root / "deep" / "real" / "sub")
+
+
+_IMAGE_PATHS = {  # under the tree, or as given when relative (to the working directory deep/)
+    "file-link": ["imgs/link.pgm", "imgs/a.pgm"],
+    "dir-link": ["imgs_link/a.pgm", "imgs_link/link.pgm", "imgs/a.pgm"],
+    "dotdot-after-dir-link": ["sub_link/../c.pgm", "sub_link/..", "sub_link/.", "imgs/."],
+    "trailing-slash": ["imgs/link.pgm/", "imgs_link/", "sub_link//"],
+    "relative": [
+        "../imgs/a.pgm", "../imgs_link/b.pgm", "../sub_link/../c.pgm", "real/c.pgm", "x.pgm", "",
+        ".", "..",
+    ],
+    "missing": ["imgs_link/gone.pgm", "nowhere/gone.pgm"],
+}
+
+
+@pytest.mark.parametrize("case", [*_IMAGE_PATHS, "all"])
+def test_save_dataset_names_each_image_by_its_resolved_path(case, tmp_path, monkeypatch):
+    """Each record's path is the one ``Path(image_path).resolve()`` gives,
+    relative to the manifest's resolved directory, whatever the links."""
+    _linked_tree(tmp_path)
+    monkeypatch.chdir(tmp_path / "deep")
+    cases = list(_IMAGE_PATHS) if case == "all" else [case]
+    paths = [p if c == "relative" else str(tmp_path / p) for c in cases for p in _IMAGE_PATHS[c]]
+    ds = Dataset(
+        tuple(AnnotationRecord(f"i{k}", p, AnnotationTier.NONE) for k, p in enumerate(paths)),
+        16, 16,
+    )
+    mpath = tmp_path / "m" / "x.manifest"
+    save_dataset(ds, mpath)
+    base = mpath.resolve().parent
+    want = ["#manifest width=16 height=16"] + [
+        f"i{k}\t{resolved_relpath(p, base)}\tNONE" for k, p in enumerate(paths)
+    ]
+    assert mpath.read_bytes() == ("\n".join(want) + "\n").encode()
+    if case == "dotdot-after-dir-link":  # the link is followed before its ``..``
+        assert want[1:3] == ["i0\t../deep/real/c.pgm\tNONE", "i1\t../deep/real\tNONE"]
 
 
 def test_manifest_roundtrip_structural(tmp_path):
@@ -218,6 +265,24 @@ def test_manifest_that_is_not_utf8_names_file_and_line(tmp_path):
         load_dataset(m)
     assert ei.value.line == 3
     assert str(m) in str(ei.value)
+
+
+@pytest.mark.parametrize("score", ["1.5", "-0.1", "1.0000000000000002"])
+def test_manifest_refuses_a_score_outside_0_1(tmp_path, score):
+    make_image(tmp_path, "a.pgm")
+    m = tmp_path / "bad.manifest"
+    m.write_text(
+        f"#manifest width=16 height=16\na\ta.pgm\tSTRONG\tscores=0.5,{score}\t"
+        "0,0,4,0,4,4\t1,1,5,1,5,5\n"
+    )
+    with pytest.raises(ManifestError) as ei:
+        load_dataset(m)
+    assert str(ei.value) == f"{m}: line 2: a: score must lie in [0, 1], got {float(score)!r}"
+    for bad in (float(score), float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"^a: score must lie in \[0, 1\], got "):
+            AnnotationRecord("a", "a.pgm", AnnotationTier.STRONG, (tri(),), scores=(bad,))
+    for ok in (0.0, 1.0):
+        AnnotationRecord("a", "a.pgm", AnnotationTier.STRONG, (tri(),), scores=(ok,))
 
 
 def test_manifest_rejects_negative_round(tmp_path):

@@ -545,6 +545,34 @@ def test_detect_matches_the_per_label_full_frame_oracle(easy_world):
     assert n_dets >= 100
 
 
+def _map_of(*blocks) -> np.ndarray:
+    """A 12x20 probability map: 0.2 everywhere, ``p`` on each block's pixels."""
+    probs = np.full((12, 20), 0.2)
+    for p, pixels in blocks:
+        rows, cols = zip(*pixels)
+        probs[list(rows), list(cols)] = p
+    return probs
+
+
+def test_detect_sizes_each_component_inside_its_box(monkeypatch):
+    """A component is dropped unread when its box is below the size floor,
+    and counted in its box otherwise; the oracle passes over the frame."""
+    l_shape = [(1, 1), (2, 1), (3, 1), (3, 2), (3, 3)]  # 5 pixels in a 3x3 box
+    bar = [(r, c) for r in (6, 7) for c in range(2, 6)]  # exactly 8 pixels in a 2x4 box
+    line = [(10, c) for c in range(8, 15)]  # 7 pixels in a 1x7 box
+    ring = [(r, c) for r in range(1, 5) for c in range(10, 14) if (r, c) != (2, 11)]  # 15 in 4x4
+    probs = _map_of((0.9, l_shape), (0.7, bar), (0.8, line), (0.6, ring))
+    monkeypatch.setattr(DetectorModel, "prob_map", lambda self, image: probs)
+    got = _random_model(np.random.default_rng(0), 1).detect(np.zeros((12, 20), dtype=np.uint8))
+    want = per_label_detect(probs, SCORE_THRESHOLD, MIN_COMPONENT_PIXELS)
+    assert [_det_key(d) for d in got] == [_det_key(d) for d in want]
+    assert [(d.box, d.mask.count) for d in got] == [
+        (AxisRect(2.0, 6.0, 6.0, 8.0), 8),
+        (AxisRect(10.0, 1.0, 14.0, 5.0), 15),
+    ]
+    assert [d.score for d in got] == pytest.approx([0.7, 0.6])
+
+
 def test_detect_respects_min_component_pixels(easy_world, monkeypatch):
     _, examples, model = easy_world
     assert any(model.detect(ex.image) for ex in examples[8:])

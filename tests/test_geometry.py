@@ -427,6 +427,23 @@ def test_mask_to_polygon_examples():
     assert len(mask_to_polygon(BitMask(two))) == 2
 
 
+def test_mask_to_polygon_traces_in_the_frame_from_the_masks_crop():
+    plus = np.zeros((7, 9), dtype=bool)  # one component touching all four crop edges
+    plus[2:5, 4] = plus[3, 3:6] = True
+    assert mask_to_polygon(BitMask(plus)) == [Polygon([
+        (4, 2), (5, 2), (5, 3), (6, 3), (6, 4), (5, 4), (5, 5), (4, 5), (4, 4), (3, 4), (3, 3),
+        (4, 3),
+    ])]
+    nested = np.zeros((8, 7), dtype=bool)  # an island in the hole of a ring
+    nested[1:6, 1:6] = True
+    nested[2:5, 2:5] = False
+    nested[3, 3] = True
+    assert mask_to_polygon(BitMask(nested)) == [
+        Polygon([(1, 1), (6, 1), (6, 6), (1, 6)]),
+        Polygon([(3, 3), (4, 3), (4, 4), (3, 4)]),
+    ]
+
+
 def test_mask_to_polygon_diagonal_pixels_are_two_components():
     m = np.zeros((4, 4), dtype=bool)
     m[0, 0] = True

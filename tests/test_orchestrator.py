@@ -108,6 +108,41 @@ def test_config_validation():
         PipelineConfig(strategy=Strategy.LOCAL, rounds=-1)
 
 
+_COUNT_FIELDS = [  # (field, the config made with that field set to a value)
+    pytest.param("epochs", lambda v: TrainConfig(epochs=v), id="epochs"),
+    pytest.param("batch_size", lambda v: TrainConfig(batch_size=v), id="batch_size"),
+    pytest.param("seed", lambda v: TrainConfig(seed=v), id="train-seed"),
+    pytest.param("patch_radius", lambda v: TrainConfig(patch_radius=v), id="patch_radius"),
+    pytest.param("rounds", lambda v: PipelineConfig(Strategy.LOCAL, rounds=v), id="rounds"),
+    pytest.param("n_images", lambda v: SceneSpec(n_images=v), id="n_images"),
+    pytest.param("width", lambda v: SceneSpec(n_images=2, width=v), id="width"),
+    pytest.param("height", lambda v: SceneSpec(n_images=2, height=v), id="height"),
+    pytest.param("seed", lambda v: SceneSpec(n_images=2, seed=v), id="scene-seed"),
+]
+
+
+@pytest.mark.parametrize("field, make", _COUNT_FIELDS)
+def test_a_count_that_is_not_an_integer_is_refused_by_its_config(field, make):
+    """Refused where the config is made, naming the field; numpy integers pass."""
+    for value in (2.5, 80.5, "3", None):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+            make(value)
+    assert getattr(make(np.int64(80)), field) == 80
+    assert getattr(make(np.int32(20)), field) == 20
+
+
+def test_a_fractional_epoch_count_writes_nothing(world, tmp_path):
+    """The corrected call then runs in the same directory."""
+    _, strong, weak_pool, _, test_ds = world
+    with pytest.raises(ValueError, match=r"^epochs must be an integer, got 2\.5$"):
+        run_pipeline(strong, weak_pool, test_ds,
+                     PipelineConfig(Strategy.LOCAL, rounds=0, train_cfg=TrainConfig(epochs=2.5)),
+                     tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+    cfg = PipelineConfig(Strategy.LOCAL, rounds=0, train_cfg=TrainConfig(epochs=2))
+    assert not run_pipeline(strong, weak_pool, test_ds, cfg, tmp_path / "run").incomplete
+
+
 def test_dataset_examples_rejects_weak(world):
     _, _, weak_pool, _, _ = world
     with pytest.raises(TierError):

@@ -303,10 +303,20 @@ _SEVERAL_COMPONENTS = np.array(
 )
 
 
+_PLUS = np.pad(
+    np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool), ((2, 1), (3, 2))
+)
+_ISLAND_IN_A_HOLE = np.pad(np.ones((5, 5), dtype=bool), 1)
+_ISLAND_IN_A_HOLE[2:5, 2:5] = False
+_ISLAND_IN_A_HOLE[3, 3] = True
+
+
 @deterministic
 @given(mask=arrays(np.bool_, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)))
 @example(mask=_SEVERAL_COMPONENTS)  # a pinched ring, a bar, diagonal neighbours, corners
 @example(mask=np.ones((1, 1), dtype=bool))
+@example(mask=_PLUS)  # one component touching all four edges of its crop
+@example(mask=_ISLAND_IN_A_HOLE)  # two components, one nested in the other's hole
 def test_mask_to_polygon_matches_the_full_frame_trace(mask):
     """Tracing each component in its own crop gives the outlines, in the
     order, that tracing it in the whole frame gives."""

@@ -2,10 +2,12 @@
 
 from dataclasses import replace as dc_replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from textboot import strategies
 from textboot.data import (
     AnnotationRecord,
     AnnotationTier,
@@ -13,10 +15,19 @@ from textboot.data import (
     SceneSpec,
     downgrade_record,
     generate_synthetic,
+    load_dataset,
     read_pgm,
+    save_dataset,
     write_pgm,
 )
-from textboot.detector import DetectorModel, TrainConfig, feature_dim, train
+from textboot.detector import (
+    MIN_COMPONENT_PIXELS,
+    SCORE_THRESHOLD,
+    DetectorModel,
+    TrainConfig,
+    feature_dim,
+    train,
+)
 from textboot.errors import TierError, UnknownImageError
 from textboot.geometry import AxisRect, BitMask, Detection, mask_iou, rasterize, rect_iou
 from textboot.orchestrator import pseudo_examples
@@ -29,7 +40,8 @@ from textboot.strategies import (
     local_generate,
     pseudo_to_dataset,
 )
-from tests.test_detector import EASY, _examples
+from tests.oracles import full_frame_mask_to_polygon, per_label_detect
+from tests.test_detector import EASY, _examples, _random_model
 
 
 def _rect_detection(grid_h, grid_w, x0, y0, x1, y1, score):
@@ -269,6 +281,44 @@ def weak_world(tmp_path_factory):
         image_height=64,
     )
     return root, ds, weak_pool, model
+
+
+def _pseudo_manifests(model, weak_pool: Dataset, out: Path) -> dict[str, bytes]:
+    """Each strategy's pool taken to a saved pseudo manifest, as a round does."""
+    none_pool = dc_replace(weak_pool, records=tuple(map(_to_none_tier, weak_pool.records)))
+    out.mkdir()
+    written = {}
+    for strategy in Provenance:
+        pool = none_pool if strategy is Provenance.NAIVE else weak_pool
+        pseudo = annotate_pool(model, pool, strategy, StrategyConfig(), round_index=1)
+        path = out / f"{strategy.value}.manifest"
+        save_dataset(pseudo_to_dataset(pool, pseudo), path)
+        written[strategy.value] = path.read_bytes()
+    return written
+
+
+def test_pseudo_manifests_match_the_full_frame_oracles(weak_world, tmp_path, monkeypatch):
+    """Detecting and tracing inside crops writes the bytes that one
+    full-frame pass per component writes, for every strategy: for a trained
+    model and for a noisy one, whose maps break into many components."""
+    _, _, weak_pool, baseline = weak_world
+    noisy = _random_model(np.random.default_rng(1), 1, 3.0)
+    models = {"trained": baseline, "noisy": DetectorModel(noisy.weights, noisy.bias - 4.0)}
+    got = {name: _pseudo_manifests(m, weak_pool, tmp_path / f"crop-{name}")
+           for name, m in models.items()}
+    monkeypatch.setattr(strategies, "mask_to_polygon", full_frame_mask_to_polygon)
+    monkeypatch.setattr(
+        DetectorModel, "detect",
+        lambda self, image: per_label_detect(self.prob_map(image), SCORE_THRESHOLD,
+                                             MIN_COMPONENT_PIXELS),
+    )
+    for name, m in models.items():
+        assert _pseudo_manifests(m, weak_pool, tmp_path / f"frame-{name}") == got[name]
+    rects = sum(len(r.rects) for r in weak_pool.records)
+    local = load_dataset(tmp_path / "crop-noisy" / "LOCAL.manifest")
+    assert sum(len(r.polygons) for r in local.records) > 3 * rects  # many-component crops
+    naive = load_dataset(tmp_path / "crop-noisy" / "NAIVE.manifest")
+    assert sum(len(r.polygons) for r in naive.records) >= 20
 
 
 def test_annotate_pool_empty_pool():
